@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint bench fig6bench store-bench fleet-bench fleet-suite metrics-smoke explain-smoke crash-suite obs-bench obs-smoke stream-bench stream-suite
+.PHONY: all build vet test race check lint bench fleet-suite metrics-smoke explain-smoke crash-suite obs-smoke stream-suite
 
 all: check
 
@@ -31,34 +31,13 @@ lint:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
-# fig6bench regenerates the machine-readable perf artifact.
-fig6bench:
-	$(GO) run ./cmd/imcf-bench -reps 3 -benchjson BENCH_fig6.json
-
-# store-bench regenerates the storage-engine write-throughput artifact
-# (baseline vs group commit vs sharded; see DESIGN.md §12). Use
-# -store-ops for a quick smoke run: make store-bench STORE_OPS=50.
-STORE_OPS ?= 0
-store-bench:
-	$(GO) run ./cmd/imcf-bench -store -store-ops $(STORE_OPS) -storejson BENCH_store.json
-
-# fleet-bench regenerates the fleet-scheduler artifact: per-tenant plan
-# latency percentiles at 1k and 10k simulated homes, workers 1 and 8
-# (see DESIGN.md §13). Override the matrix for a smoke run:
-# make fleet-bench FLEET_HOMES=50,100 FLEET_WORKERS=1,4.
-FLEET_HOMES ?=
-FLEET_WORKERS ?=
-fleet-bench:
-	$(GO) run ./cmd/imcf-bench -fleet -fleet-homes '$(FLEET_HOMES)' \
-		-fleet-workers '$(FLEET_WORKERS)' -fleetjson BENCH_fleet.json
-
 # fleet-suite runs the multi-home proof obligations in isolation,
 # verbosely: the tenant-equivalence harness (bit-identical solo vs
 # fleet-tenant hosting) and the multi-tenant kill-at-every-failpoint
 # crash suite. Both are part of check.
 fleet-suite:
 	$(GO) test -count=1 -v \
-		-run 'FleetTenantEquivalence|FleetCrashSharedWAL|FleetCrashPerTenantSharded' \
+		-run 'FleetTenantEquivalence|FleetCrashSharedWAL' \
 		./internal/daemon
 
 # crash-suite runs the kill-at-every-failpoint recovery harness (see
@@ -67,20 +46,8 @@ fleet-suite:
 # e2e. Part of check; this target reruns it in isolation, verbosely.
 crash-suite:
 	$(GO) test -count=1 -v \
-		-run 'CrashRecoveryEveryFailpoint|ShardedCrashBetweenShardCommits|CompactionRenameDurability|FailedCompactionLeavesCleanErrors|ProbeRecordsAreInvisible|JournalCrashRecoveryEveryFailpoint|JournalSyncCadence|DaemonDegradedMode|FleetCrashSharedWAL|FleetCrashPerTenantSharded' \
+		-run 'CrashRecoveryEveryFailpoint|CompactionRenameDurability|FailedCompactionLeavesCleanErrors|ProbeRecordsAreInvisible|JournalCrashRecoveryEveryFailpoint|JournalSyncCadence|DaemonDegradedMode|FleetCrashSharedWAL' \
 		./internal/store ./internal/persistence ./internal/daemon
-
-# obs-bench regenerates the observability-overhead artifact: the REST
-# serving path with logging enabled vs disabled (acceptance bar <2%)
-# plus the SLO feed's direct per-plan cost (see DESIGN.md §15).
-obs-bench:
-	$(GO) run ./cmd/imcf-bench -obs -obsjson BENCH_obs.json
-
-# stream-bench regenerates the cloud↔edge sync-protocol artifact:
-# plain polling vs conditional GET vs the delta stream over a steady
-# and a changing window (see DESIGN.md §16).
-stream-bench:
-	$(GO) run ./cmd/imcf-bench -stream -streamjson BENCH_stream.json
 
 # stream-suite reruns the delta-sync proof obligations in isolation,
 # verbosely: the stream-equivalence harness (sync-maintained mirror

@@ -3,21 +3,14 @@
 //
 // Usage:
 //
-//	imcf-bench [-run all|table1|table2|table3|fig6|fig7|fig8|fig9|table4|table5|ablations|fig6bench]
+//	imcf-bench [-run all|table1|table2|table3|fig6|fig7|fig8|fig9|table4|table5|ablations]
 //	           [-reps N] [-datasets Flat,House,Dorms] [-seed N] [-parallel N]
-//	           [-cpuprofile out.pprof] [-memprofile out.pprof] [-benchjson BENCH_fig6.json]
-//	           [-store [-storejson BENCH_store.json]]
-//	           [-fleet [-fleet-homes 1000,10000] [-fleet-workers 1,8] [-fleetjson BENCH_fleet.json]]
-//	           [-obs [-obs-homes 200] [-obsjson BENCH_obs.json]]
-//	           [-stream [-stream-ticks 20] [-stream-steps 10] [-streamjson BENCH_stream.json]]
+//	           [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // Each experiment prints the same rows/series the paper reports, with
-// mean ± standard deviation over the configured repetitions. -store
-// benches the storage engines; -fleet benches the multi-home fleet
-// scheduler (per-tenant plan-latency percentiles at 1k/10k homes);
-// -obs measures the observability layer's serving-path overhead;
-// -stream prices the cloud↔edge sync protocols (poll vs conditional
-// GET vs delta stream).
+// mean ± standard deviation over the configured repetitions. Performance
+// of the serving path is measured by the checked benchmark
+// (_benchmark/README.md), not by this command.
 package main
 
 import (
@@ -27,7 +20,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -36,7 +28,7 @@ import (
 
 func main() {
 	var (
-		run        = flag.String("run", "all", "experiment to run: all, table1, table2, table3, fig6, fig7, fig8, fig9, table4, table5, ablations, fig6bench")
+		run        = flag.String("run", "all", "experiment to run: all, table1, table2, table3, fig6, fig7, fig8, fig9, table4, table5, ablations")
 		reps       = flag.Int("reps", 10, "repetitions per configuration")
 		datasets   = flag.String("datasets", "Flat,House,Dorms", "comma-separated datasets")
 		seed       = flag.Uint64("seed", 42, "base random seed")
@@ -45,24 +37,6 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "suite-wide simulation runs in flight (0 = GOMAXPROCS, 1 = sequential)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchjson  = flag.String("benchjson", "", "write the fig6bench before/after artifact (BENCH_fig6.json) to this file")
-		storeBench = flag.Bool("store", false, "run the storage-engine write benchmark (baseline vs group commit vs sharded)")
-		storejson  = flag.String("storejson", "", "with -store, also write the BENCH_store.json artifact to this file")
-		storeOps   = flag.Int("store-ops", 0, "with -store, Puts per writer in sync cells (0 = default matrix)")
-		fleetBench = flag.Bool("fleet", false, "run the fleet-scheduler benchmark (per-tenant plan latency percentiles)")
-		fleetHomes = flag.String("fleet-homes", "", "with -fleet, comma-separated fleet sizes (default 1000,10000)")
-		fleetWork  = flag.String("fleet-workers", "", "with -fleet, comma-separated worker-pool sizes (default 1,8)")
-		fleetCyc   = flag.Int("fleet-cycles", 0, "with -fleet, planning cycles per cell (default 2)")
-		fleetjson  = flag.String("fleetjson", "", "with -fleet, also write the BENCH_fleet.json artifact to this file")
-		obsBench   = flag.Bool("obs", false, "run the observability-overhead benchmark (serving path with logging enabled vs disabled)")
-		obsReqs    = flag.Int("obs-requests", 0, "with -obs, requests per measured batch (default 2000)")
-		obsRounds  = flag.Int("obs-rounds", 0, "with -obs, interleaved enabled/disabled rounds (default 25)")
-		obsHomes   = flag.Int("obs-homes", 0, "with -obs, tenant count for the SLO-feed measurement (default 200)")
-		obsjson    = flag.String("obsjson", "", "with -obs, also write the BENCH_obs.json artifact to this file")
-		strBench   = flag.Bool("stream", false, "run the cloud↔edge sync-protocol benchmark (poll vs etag vs delta stream)")
-		strTicks   = flag.Int("stream-ticks", 0, "with -stream, steady-phase poll ticks (default 20)")
-		strSteps   = flag.Int("stream-steps", 0, "with -stream, changing-phase planning cycles (default 10)")
-		streamjson = flag.String("streamjson", "", "with -stream, also write the BENCH_stream.json artifact to this file")
 	)
 	flag.Parse()
 
@@ -101,155 +75,6 @@ func main() {
 		}()
 	}
 
-	if *benchjson != "" {
-		f, err := os.Create(*benchjson)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: %v\n", err)
-			os.Exit(1)
-		}
-		err = suite.WriteFig6Bench(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: fig6bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *storeBench {
-		opts := bench.StoreBenchOptions{SyncOps: *storeOps}
-		if *storeOps != 0 {
-			// A reduced op count is a smoke run; shrink the unsynced
-			// cells proportionally too.
-			opts.NoSyncOps = *storeOps * 4
-		}
-		res, err := bench.RunStoreBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: store: %v\n", err)
-			os.Exit(1)
-		}
-		if err := res.WriteTable(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: store: %v\n", err)
-			os.Exit(1)
-		}
-		if *storejson != "" {
-			f, err := os.Create(*storejson)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "imcf-bench: %v\n", err)
-				os.Exit(1)
-			}
-			err = res.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "imcf-bench: store: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *fleetBench {
-		opts := bench.FleetBenchOptions{Cycles: *fleetCyc, Seed: *seed}
-		var err error
-		if opts.Homes, err = parseIntList(*fleetHomes); err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: -fleet-homes: %v\n", err)
-			os.Exit(2)
-		}
-		if opts.Workers, err = parseIntList(*fleetWork); err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: -fleet-workers: %v\n", err)
-			os.Exit(2)
-		}
-		res, err := bench.RunFleetBench(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: fleet: %v\n", err)
-			os.Exit(1)
-		}
-		if err := res.WriteTable(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: fleet: %v\n", err)
-			os.Exit(1)
-		}
-		if *fleetjson != "" {
-			f, err := os.Create(*fleetjson)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "imcf-bench: %v\n", err)
-				os.Exit(1)
-			}
-			err = res.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "imcf-bench: fleet: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *strBench {
-		res, err := bench.RunStreamBench(bench.StreamBenchOptions{
-			SteadyTicks: *strTicks, ChangingSteps: *strSteps, Seed: *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: stream: %v\n", err)
-			os.Exit(1)
-		}
-		if err := res.WriteTable(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: stream: %v\n", err)
-			os.Exit(1)
-		}
-		if *streamjson != "" {
-			f, err := os.Create(*streamjson)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "imcf-bench: %v\n", err)
-				os.Exit(1)
-			}
-			err = res.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "imcf-bench: stream: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *obsBench {
-		res, err := bench.RunObsBench(bench.ObsBenchOptions{
-			Requests: *obsReqs, Rounds: *obsRounds, Homes: *obsHomes, Seed: *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: obs: %v\n", err)
-			os.Exit(1)
-		}
-		if err := res.WriteTable(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "imcf-bench: obs: %v\n", err)
-			os.Exit(1)
-		}
-		if *obsjson != "" {
-			f, err := os.Create(*obsjson)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "imcf-bench: %v\n", err)
-				os.Exit(1)
-			}
-			err = res.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "imcf-bench: obs: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
 	if *specPath != "" {
 		f, err := os.Open(*specPath)
 		if err != nil {
@@ -278,10 +103,7 @@ func main() {
 
 	experiments := []struct {
 		name string
-		// explicitOnly experiments are skipped by -run all and must be
-		// named directly (perf harnesses, not paper figures).
-		explicitOnly bool
-		fn           func() error
+		fn   func() error
 	}{
 		{name: "table1", fn: func() error { return bench.Table1(os.Stdout) }},
 		{name: "table2", fn: func() error { return bench.Table2(os.Stdout) }},
@@ -293,14 +115,10 @@ func main() {
 		{name: "table4", fn: func() error { return suite.Table4(os.Stdout) }},
 		{name: "table5", fn: func() error { return suite.Table5(os.Stdout) }},
 		{name: "ablations", fn: func() error { return suite.Ablations(os.Stdout) }},
-		{name: "fig6bench", explicitOnly: true, fn: func() error { return suite.WriteFig6Bench(os.Stdout) }},
 	}
 
 	ran := false
 	for _, e := range experiments {
-		if *run == "all" && e.explicitOnly {
-			continue
-		}
 		if *run != "all" && *run != e.name {
 			continue
 		}
@@ -316,27 +134,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "imcf-bench: unknown experiment %q\n", *run)
 		os.Exit(2)
 	}
-}
-
-// parseIntList parses a comma-separated list of positive integers; an
-// empty string means "use the benchmark's default".
-func parseIntList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // emitJSON runs the structured experiments and prints one JSON document.

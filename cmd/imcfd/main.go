@@ -47,8 +47,7 @@ func main() {
 		metricsAddr  = flag.String("metrics-addr", ":8089", "metrics/health listen address (empty disables)")
 		residence    = flag.String("residence", "prototype", "residence: prototype, flat or house")
 		storeDir     = flag.String("store", "", "persistence directory (empty disables)")
-		storeBackend = flag.String("store-backend", "wal", "storage engine: wal, sharded or mem")
-		storeShards  = flag.Int("store-shards", 0, "shard count for -store-backend sharded (0: adopt the directory's manifest, or 8 when fresh)")
+		storeBackend = flag.String("store-backend", "wal", "storage engine: wal or mem")
 		interval     = flag.Duration("interval", time.Hour, "EP scheduling interval")
 		weekly       = flag.Float64("weekly-budget", home.PrototypeWeeklyBudget.KWh(), "weekly energy budget in kWh")
 		emulate      = flag.Bool("emulate", false, "start HTTP device emulators and drive them")
@@ -96,7 +95,6 @@ func main() {
 		FleetWorkers:     *fleetWorkers,
 		StoreDir:         *storeDir,
 		StoreBackend:     *storeBackend,
-		StoreShards:      *storeShards,
 		PersistDir:       *persist,
 		MRTPath:          *mrtPath,
 		Mode:             *mode,

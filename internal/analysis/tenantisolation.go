@@ -320,7 +320,7 @@ func taintCall(info *types.Info, call *ast.CallExpr, s *taintState, rep *Reporte
 }
 
 // checkDirField flags dynamically assembled Dir fields in store option
-// literals (the sharded backend's per-tenant directories).
+// literals.
 func checkDirField(info *types.Info, lit *ast.CompositeLit, s *taintState, rep *Reporter) {
 	tv, ok := info.Types[lit]
 	if !ok {
@@ -331,7 +331,7 @@ func checkDirField(info *types.Info, lit *ast.CompositeLit, s *taintState, rep *
 		return
 	}
 	name := named.Obj().Name()
-	if name != "Options" && name != "ShardedOptions" {
+	if name != "Options" {
 		return
 	}
 	for _, elt := range lit.Elts {

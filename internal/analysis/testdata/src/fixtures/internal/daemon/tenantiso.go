@@ -40,10 +40,10 @@ func RawNamespace(ad store.Adapter, id string) store.Adapter {
 
 // RawDir assembles the per-tenant directory ad hoc — positives for
 // both the persistence path sink and the store Dir field.
-func RawDir(base, id string) store.ShardedOptions {
+func RawDir(base, id string) store.Options {
 	dir := filepath.Join(base, "tenants", id)
 	persistence.Open(dir)
-	return store.ShardedOptions{Dir: dir}
+	return store.Options{Dir: dir}
 }
 
 // Mediated is the negative fixture: every key and path flows through

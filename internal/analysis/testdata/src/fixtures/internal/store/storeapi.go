@@ -27,9 +27,3 @@ func Namespace(parent Adapter, prefix string) Adapter { return parent }
 type Options struct {
 	Dir string
 }
-
-// ShardedOptions configures the sharded backend.
-type ShardedOptions struct {
-	Dir    string
-	Shards int
-}

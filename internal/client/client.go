@@ -339,7 +339,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) (er
 				msg = e.Error
 			}
 			retryAfter := resp.Header.Get("Retry-After")
-			resp.Body.Close()
+			drainClose(resp.Body)
 			retryable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
 			if retryable && attempt < c.retries {
 				// A degraded or throttling server knows when to come back
@@ -357,16 +357,24 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) (er
 			return &APIError{Status: resp.StatusCode, Message: msg}
 		}
 		if out == nil {
-			resp.Body.Close()
+			drainClose(resp.Body)
 			return nil
 		}
 		err = json.NewDecoder(resp.Body).Decode(out)
-		resp.Body.Close()
+		drainClose(resp.Body)
 		if err != nil {
 			return fmt.Errorf("client: decode %s response: %w", path, err)
 		}
 		return nil
 	}
+}
+
+// drainClose reads what is left of a response body, up to a bound, and
+// closes it. A body closed before EOF costs its keep-alive connection;
+// one read to EOF returns the connection to the idle pool.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 4096)) //nolint:errcheck // best effort; the connection is dropped on error
+	body.Close()
 }
 
 // IsBlocked reports whether err is the firewall rejecting a command.

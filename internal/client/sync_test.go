@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,15 +13,15 @@ import (
 	"time"
 
 	"github.com/imcf/imcf/internal/controller"
+	"github.com/imcf/imcf/internal/simclock"
 	"github.com/imcf/imcf/internal/stream"
 )
 
 // bootStream is boot with a decision-stream hub wired in.
-func bootStream(t *testing.T) (*controller.Controller, *Client, *stream.Hub) {
+func bootStream(t *testing.T) (*controller.Controller, *Client, *simclock.SimClock) {
 	t.Helper()
 	hub := stream.NewHub("boot-a", 64)
-	ctl, cl, _ := boot(t, func(cfg *controller.Config) { cfg.Stream = hub })
-	return ctl, cl, hub
+	return boot(t, func(cfg *controller.Config) { cfg.Stream = hub })
 }
 
 func TestSyncMirrorMatchesPoll(t *testing.T) {
@@ -254,5 +255,146 @@ func TestMirrorAccessors(t *testing.T) {
 	want := ctl.Firewall().Rules()
 	if len(rules) != len(want) {
 		t.Fatalf("mirror rules %v != firewall rules %v", rules, want)
+	}
+}
+
+// countingTransport counts the requests and response-body bytes that
+// cross one client's transport.
+type countingTransport struct {
+	requests atomic.Int64
+	bytes    atomic.Int64
+}
+
+func (t *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.requests.Add(1)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if resp != nil && resp.Body != nil {
+		resp.Body = &countingBody{ReadCloser: resp.Body, n: &t.bytes}
+	}
+	return resp, err
+}
+
+// take returns the counts so far and resets them.
+func (t *countingTransport) take() (requests, bytes int64) {
+	return t.requests.Swap(0), t.bytes.Swap(0)
+}
+
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// countedClient is a client of cl's controller whose transport counts.
+func countedClient(t *testing.T, cl *Client) (*Client, *countingTransport) {
+	t.Helper()
+	ct := &countingTransport{}
+	c, err := New(cl.base, &http.Client{Transport: ct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, ct
+}
+
+// TestSyncRequestCounts prices the cloud↔edge sync protocols in
+// requests and body bytes. With unchanged state, polling costs three
+// full-body GETs per tick, conditional GETs revalidate with empty 304
+// bodies after the first tick, and a watcher costs its snapshot plus
+// one parked long poll however many ticks pass. With a planning cycle
+// per tick, catching up costs polling three GETs and Sync one delta
+// poll, and moves fewer body bytes. Every replica stays identical.
+func TestSyncRequestCounts(t *testing.T) {
+	const ticks, steps = 5, 3
+	ctl, cl, clock := bootStream(t)
+	if _, err := ctl.Step(); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Hour)
+	poller, pollCT := countedClient(t, cl)
+	revalidator, etagCT := countedClient(t, cl)
+	syncer, syncCT := countedClient(t, cl)
+
+	// Steady state: the watcher snapshots, then parks one long poll
+	// that outlasts the test.
+	ctxw, cancel := context.WithCancel(ctx)
+	defer cancel()
+	updates := make(chan struct{}, 16)
+	w := syncer.Watch(ctxw, WatchOptions{Wait: stream.MaxWait, OnUpdate: func() { updates <- struct{}{} }})
+	waitUpdate(t, updates)
+	deadline := time.Now().Add(5 * time.Second)
+	for syncCT.requests.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+
+	pollMirror := stream.NewMirror()
+	for tick := 0; tick < ticks; tick++ {
+		if err := poller.PollInto(ctx, pollMirror); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths := []string{"/rest/mrt", "/rest/plan", "/rest/firewall?rules=only"}
+	etags := make(map[string]string)
+	var firstTickBytes int64
+	for tick := 0; tick < ticks; tick++ {
+		for _, path := range paths {
+			_, tag, _, err := revalidator.GetConditional(ctx, path, etags[path])
+			if err != nil {
+				t.Fatal(err)
+			}
+			etags[path] = tag
+		}
+		if tick == 0 {
+			firstTickBytes = etagCT.bytes.Load()
+		}
+	}
+	pollReqs, pollBytes := pollCT.take()
+	etagReqs, etagBytes := etagCT.take()
+	syncReqs, _ := syncCT.take()
+	if pollReqs != 3*ticks || etagReqs != 3*ticks {
+		t.Errorf("steady requests: poll %d, etag %d, want %d each", pollReqs, etagReqs, 3*ticks)
+	}
+	if syncReqs != 2 {
+		t.Errorf("steady watcher requests = %d, want 2 (snapshot + one parked long poll)", syncReqs)
+	}
+	if etagBytes != firstTickBytes || etagBytes >= pollBytes {
+		t.Errorf("etag body bytes = %d (first tick %d), poll %d: revalidations moved bodies",
+			etagBytes, firstTickBytes, pollBytes)
+	}
+	if !bytes.Equal(pollMirror.Canonical(), w.Mirror().Canonical()) {
+		t.Fatal("steady-state replicas diverged")
+	}
+	syncMirror := w.Mirror()
+	cancel()
+	<-w.Done()
+	syncCT.take()
+
+	// Changing state: one planning cycle per tick.
+	for step := 0; step < steps; step++ {
+		if _, err := ctl.Step(); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Hour)
+		if err := poller.PollInto(ctx, pollMirror); err != nil {
+			t.Fatal(err)
+		}
+		if err := syncer.Sync(ctx, syncMirror); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pollMirror.Canonical(), syncMirror.Canonical()) {
+			t.Fatalf("replicas diverged at step %d", step)
+		}
+	}
+	pollReqs, pollBytes = pollCT.take()
+	syncReqs, syncBytes := syncCT.take()
+	if pollReqs != 3*steps || syncReqs != steps {
+		t.Errorf("changing requests: poll %d, sync %d, want %d and %d", pollReqs, syncReqs, 3*steps, steps)
+	}
+	if syncBytes >= pollBytes {
+		t.Errorf("changing sync body bytes %d not below poll %d", syncBytes, pollBytes)
 	}
 }

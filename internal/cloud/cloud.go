@@ -27,6 +27,7 @@ package cloud
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -131,7 +132,13 @@ func (r *Relay) Handler() http.Handler {
 			Site string `json:"site"`
 			URL  string `json:"url"`
 		}
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+		err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes)).Decode(&body)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
+			return
+		}
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
@@ -317,9 +324,9 @@ type BroadcastResult struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// broadcastBodyLimit caps a CMC broadcast payload (an MRT is a few KB;
-// a megabyte is already generous).
-const broadcastBodyLimit = 1 << 20
+// maxBodyBytes caps a request body: a registration or a CMC broadcast
+// payload (an MRT is a few KB; a megabyte is already generous).
+const maxBodyBytes = 1 << 20
 
 // broadcast POSTs the request body (forwardBody) or an empty body to
 // path on every registered site and reports per-site outcomes.
@@ -331,14 +338,14 @@ func (r *Relay) broadcast(w http.ResponseWriter, req *http.Request, path string,
 		// can still be valid JSON and would fan out a partial table to
 		// every site.
 		var err error
-		body, err = io.ReadAll(io.LimitReader(req.Body, broadcastBodyLimit+1))
+		body, err = io.ReadAll(io.LimitReader(req.Body, maxBodyBytes+1))
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
-		if len(body) > broadcastBodyLimit {
+		if len(body) > maxBodyBytes {
 			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-				"error": fmt.Sprintf("body exceeds %d bytes", broadcastBodyLimit)})
+				"error": fmt.Sprintf("body exceeds %d bytes", maxBodyBytes)})
 			return
 		}
 		if !json.Valid(body) {

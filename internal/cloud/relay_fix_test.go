@@ -102,7 +102,7 @@ func TestBroadcastRejectsOversizedBody(t *testing.T) {
 	// have been truncated to invalid JSON before — the dangerous case is
 	// payloads whose 1 MiB prefix is still valid, so size, not syntax,
 	// must be the rejection.
-	huge := `{"rules":[{"id":"` + strings.Repeat("x", broadcastBodyLimit) + `"}]}`
+	huge := `{"rules":[{"id":"` + strings.Repeat("x", maxBodyBytes) + `"}]}`
 	resp, err := http.Post(srv.URL+"/cmc/broadcast/mrt", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
@@ -180,5 +180,40 @@ func TestBroadcastStopsOnCancelledContext(t *testing.T) {
 	}
 	if n := lateDials.Load(); n != 0 {
 		t.Fatalf("relay kept dialing %d sites after the client hung up", n)
+	}
+}
+
+// TestRegisterRejectsOversizedBody bounds the registration body: an
+// oversized one is refused with 413 and registers nothing, while a
+// normal one still registers.
+func TestRegisterRejectsOversizedBody(t *testing.T) {
+	relay := NewRelay("", nil)
+	srv := httptest.NewServer(relay.Handler())
+	t.Cleanup(srv.Close)
+
+	huge := `{"site":"home","url":"http://127.0.0.1:1","pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	resp, err := http.Post(srv.URL+"/cc/register", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized register = %d, want 413", resp.StatusCode)
+	}
+	if sites := relay.Sites(); len(sites) != 0 {
+		t.Fatalf("oversized register registered %v", sites)
+	}
+
+	resp, err = http.Post(srv.URL+"/cc/register", "application/json",
+		strings.NewReader(`{"site":"home","url":"http://127.0.0.1:1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("normal register = %d, want 200", resp.StatusCode)
+	}
+	if sites := relay.Sites(); len(sites) != 1 {
+		t.Fatalf("sites after register = %v, want one", sites)
 	}
 }

@@ -80,8 +80,7 @@ func API(c *Controller) http.Handler {
 		var body struct {
 			Value float64 `json:"value"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &body) {
 			return
 		}
 		err := c.Command(id, body.Value)
@@ -116,8 +115,7 @@ func API(c *Controller) http.Handler {
 
 	mux.HandleFunc("POST /rest/mrt", func(w http.ResponseWriter, r *http.Request) {
 		var t rules.MRT
-		if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &t) {
 			return
 		}
 		if err := c.SetMRT(t); err != nil {
@@ -252,6 +250,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // response already committed
+}
+
+// maxBodyBytes caps a request body: an MRT is a few KB and a command a
+// few bytes, so a megabyte is already generous.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v. It answers 413 for an oversized body and 400 for a malformed one,
+// and reports whether v was filled.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, r, http.StatusRequestEntityTooLarge, err)
+	case err != nil:
+		writeError(w, r, http.StatusBadRequest, err)
+	default:
+		return true
+	}
+	return false
 }
 
 // writeError answers an error response and logs it through the obs

@@ -224,3 +224,50 @@ func TestDashboardServed(t *testing.T) {
 		}
 	}
 }
+
+// postRaw posts body and returns the status code.
+func postRaw(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+func TestAPICommandRejectsOversizedBody(t *testing.T) {
+	c, srv := apiServer(t, nil)
+	url := srv.URL + "/rest/items/proto/z0/hvac/command"
+	huge := `{"value":24,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	if code := postRaw(t, url, huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized command = %d, want 413", code)
+	}
+	_, st, _ := c.Registry().Get("proto/z0/hvac")
+	if on, _, _, _ := st.Snapshot(); on {
+		t.Error("oversized command reached the device")
+	}
+	if code := postRaw(t, url, `{"value":24}`); code != http.StatusOK {
+		t.Fatalf("normal command = %d, want 200", code)
+	}
+}
+
+func TestAPIMRTRejectsOversizedBody(t *testing.T) {
+	c, srv := apiServer(t, nil)
+	mrt := c.MRT()
+	padded := rules.MRT{Rules: append([]rules.MetaRule(nil), mrt.Rules...)}
+	padded.Rules[1].Name = strings.Repeat("x", maxBodyBytes)
+	huge, err := json.Marshal(padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postRaw(t, srv.URL+"/rest/mrt", string(huge)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized MRT = %d, want 413", code)
+	}
+	if got := c.MRT().Rules[1].Name; got != mrt.Rules[1].Name {
+		t.Fatalf("oversized MRT applied: rule name now %d bytes", len(got))
+	}
+	if code := postJSON(t, srv.URL+"/rest/mrt", mrt, nil); code != http.StatusOK {
+		t.Fatalf("normal MRT = %d, want 200", code)
+	}
+}

@@ -86,8 +86,8 @@ type Config struct {
 	// Residence is the smart space the controller manages.
 	Residence *home.Residence
 	// Store persists the MRT and summaries; nil disables persistence.
-	// Any store.Adapter backend works: the durable WAL DB, the sharded
-	// group-commit store, or the in-memory backend.
+	// Any store.Adapter backend works: the durable group-commit WAL DB
+	// or the in-memory backend.
 	Store store.Adapter
 	// Clock drives scheduling; nil means the wall clock.
 	Clock simclock.Clock
@@ -591,20 +591,16 @@ func (c *Controller) finishStep(report StepReport, activeRules []rules.MetaRule,
 	traceID string, stepNo int, plannerJournaled bool) (StepReport, error) {
 
 	var firstErr error
-	// Coalesced firewall programming: one batched unblock up front (so
-	// every actuation — on and off commands alike — passes the
-	// firewall), per-rule binding I/O in rule order, then one batched
-	// block installing the cycle's drops. Two lock acquisitions per
-	// cycle instead of two per rule. When one device backs both an
-	// executed and a dropped rule the block wins deterministically; the
-	// old per-rule interleaving made the outcome depend on rule order.
+	// Firewall programming: the block set is cleared up front (so every
+	// actuation — on and off commands alike — passes the firewall),
+	// binding I/O runs per rule in rule order, then the cycle's drops
+	// replace the set. The installed set is thus exactly this cycle's
+	// drops: a block from an earlier cycle whose rule is no longer
+	// active does not outlive it. When one device backs both an executed
+	// and a dropped rule the block wins.
 	var blocks []firewall.BlockRule
 	if actuate {
-		unblock := make([]string, len(activeRules))
-		for i := range activeRules {
-			unblock[i] = devs[i].Addr
-		}
-		c.fw.ApplyBatch(unblock, nil)
+		c.fw.Replace(nil)
 	}
 	for i, r := range activeRules {
 		dev := devs[i]
@@ -656,8 +652,8 @@ func (c *Controller) finishStep(report StepReport, activeRules []rules.MetaRule,
 			})
 		}
 	}
-	if len(blocks) > 0 {
-		c.fw.ApplyBatch(nil, blocks)
+	if actuate {
+		c.fw.Replace(blocks)
 	}
 	sort.Strings(report.Executed)
 	sort.Strings(report.Dropped)

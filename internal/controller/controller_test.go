@@ -103,6 +103,36 @@ func TestStepBlocksDroppedRules(t *testing.T) {
 	}
 }
 
+// TestStepUnblocksWhenRuleWindowCloses pins the installed block set to
+// the current step's drops: a device blocked because its rule was
+// dropped at one hour is unblocked at the next hour, when no rule on it
+// is active, so manual commands reach it again.
+func TestStepUnblocksWhenRuleWindowCloses(t *testing.T) {
+	clock := simclock.NewSimClock(time.Date(2015, time.January, 10, 4, 0, 0, 0, time.UTC))
+	c := newController(t, func(cfg *Config) {
+		cfg.Clock = clock
+		cfg.WeeklyBudget = units.Energy(1e-9)
+	})
+	// 04:00 is the last hour of the night-heat window; EP drops it.
+	if report, err := c.Step(); err != nil || len(report.Dropped) != 1 {
+		t.Fatalf("04:00 step = %+v, %v; want the night-heat rule dropped", report, err)
+	}
+	if !c.Firewall().Blocked("192.168.2.10") {
+		t.Fatal("dropped device not blocked")
+	}
+	// At 05:00 no rule on the father's HVAC is active.
+	clock.Advance(time.Hour)
+	if report, err := c.Step(); err != nil || len(report.Dropped) != 0 {
+		t.Fatalf("05:00 step = %+v, %v; want nothing dropped", report, err)
+	}
+	if rules := c.Firewall().Rules(); len(rules) != 0 {
+		t.Errorf("block set after a step with no drops = %v, want empty", rules)
+	}
+	if err := c.Command("proto/z0/hvac", 21); err != nil {
+		t.Errorf("Command after the rule's window closed = %v, want success", err)
+	}
+}
+
 func TestWeekLongRunStaysWithinBudget(t *testing.T) {
 	clock := simclock.NewSimClock(time.Date(2015, time.January, 5, 0, 0, 0, 0, time.UTC))
 	c := newController(t, func(cfg *Config) { cfg.Clock = clock })

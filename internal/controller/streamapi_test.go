@@ -265,18 +265,4 @@ func findRule(mrt rules.MRT, id string) (rules.MetaRule, bool) {
 	return rules.MetaRule{}, false
 }
 
-func TestFirewallApplyBatchBlockWins(t *testing.T) {
-	fw := firewall.New(nil)
-	fw.Block("10.0.0.1", "old")
-	fw.ApplyBatch([]string{"10.0.0.1", "10.0.0.2"}, []firewall.BlockRule{
-		{Addr: "10.0.0.2", Reason: "dropped", Trace: "tr-1"},
-	})
-	if fw.Blocked("10.0.0.1") {
-		t.Error("batched unblock did not clear 10.0.0.1")
-	}
-	if !fw.Blocked("10.0.0.2") {
-		t.Error("block did not win over unblock for 10.0.0.2")
-	}
-}
-
 func itoa(v uint64) string { return strconv.FormatUint(v, 10) }

@@ -67,16 +67,10 @@ type Options struct {
 	// mem backend, which needs no directory).
 	StoreDir string
 	// StoreBackend selects the storage engine: "wal" (default, the
-	// single-log group-commit store), "sharded" (N independent WAL
-	// shards hashed by key) or "mem" (ephemeral, no disk). With
-	// tenants, wal and mem share one physical store key-prefix-routed
-	// per tenant; sharded gives each tenant its own shard directory
-	// under StoreDir/tenants/<id>.
+	// single-log group-commit store) or "mem" (ephemeral, no disk).
+	// With tenants, the one physical store is key-prefix-routed per
+	// tenant.
 	StoreBackend string
-	// StoreShards sets the shard count for the sharded backend; 0
-	// adopts the directory's manifest (or store.DefaultShards when
-	// fresh). Ignored by the other backends.
-	StoreShards int
 	// PersistDir enables measurement persistence; empty disables. With
 	// tenants, each home persists under PersistDir/tenants/<id>.
 	PersistDir string
@@ -192,7 +186,7 @@ func New(opts Options) (_ *Daemon, err error) {
 		backend = "wal"
 	}
 	switch backend {
-	case "wal", "sharded", "mem":
+	case "wal", "mem":
 	default:
 		return nil, fmt.Errorf("daemon: unknown store backend %q", opts.StoreBackend)
 	}
@@ -219,39 +213,21 @@ func New(opts Options) (_ *Daemon, err error) {
 	}
 	d.defID = specs[0].ID
 
-	// The physical store. wal and mem open once and are shared by every
-	// tenant through a key-prefix namespace; sharded opens one ShardedDB
-	// per tenant so shard routing and compaction stay per-home.
-	var parent store.Adapter
-	if !(d.multi && backend == "sharded") {
-		if parent, err = openStoreBackend(opts); err != nil {
-			return nil, err
-		}
-		if parent != nil {
-			d.closers = append(d.closers, parent.Close)
-			d.store = parent
-		}
+	// The physical store opens once and is shared by every tenant
+	// through a key-prefix namespace.
+	parent, err := openStoreBackend(opts)
+	if err != nil {
+		return nil, err
+	}
+	if parent != nil {
+		d.closers = append(d.closers, parent.Close)
+		d.store = parent
 	}
 
 	for _, spec := range specs {
-		var view store.Adapter
-		switch {
-		case parent != nil && d.multi:
+		view := parent // single-home: unprefixed, the historical layout
+		if parent != nil && d.multi {
 			view = store.Namespace(parent, tenantStorePrefix(spec.ID))
-		case parent != nil:
-			view = parent // single-home: unprefixed, the historical layout
-		case d.multi && backend == "sharded" && opts.StoreDir != "":
-			db, err := store.OpenSharded(store.ShardedOptions{
-				Dir:        tenantDir(opts.StoreDir, spec.ID),
-				Shards:     opts.StoreShards,
-				SyncWrites: true,
-				FS:         opts.FS,
-			})
-			if err != nil {
-				return nil, err
-			}
-			d.closers = append(d.closers, db.Close)
-			view = db
 		}
 		t, err := d.newTenant(opts, spec, d.multi, view)
 		if err != nil {
@@ -271,9 +247,6 @@ func New(opts Options) (_ *Daemon, err error) {
 	d.ctrl = d.def.ctrl
 	d.health = d.def.health
 	d.journal = d.def.journal
-	if d.store == nil {
-		d.store = d.def.store
-	}
 
 	if opts.DiagnosticsDir != "" {
 		if d.recorder, err = d.newRecorder(opts); err != nil {
@@ -381,16 +354,6 @@ func openStoreBackend(opts Options) (store.Adapter, error) {
 			return nil, nil
 		}
 		return store.Open(store.Options{Dir: opts.StoreDir, SyncWrites: true, FS: opts.FS})
-	case "sharded":
-		if opts.StoreDir == "" {
-			return nil, nil
-		}
-		return store.OpenSharded(store.ShardedOptions{
-			Dir:        opts.StoreDir,
-			Shards:     opts.StoreShards,
-			SyncWrites: true,
-			FS:         opts.FS,
-		})
 	case "mem":
 		return store.OpenMem(), nil
 	default:

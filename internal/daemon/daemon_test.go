@@ -154,8 +154,10 @@ func TestDaemonRejectsBadOptions(t *testing.T) {
 	if _, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", Mode: "psychic", WeeklyBudgetKWh: 165}); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if _, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165, StoreBackend: "etcd"}); err == nil {
-		t.Error("unknown store backend accepted")
+	for _, backend := range []string{"etcd", "sharded"} {
+		if _, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165, StoreBackend: backend}); err == nil {
+			t.Errorf("unknown store backend %q accepted", backend)
+		}
 	}
 }
 
@@ -168,11 +170,6 @@ func TestDaemonStoreBackends(t *testing.T) {
 		opts func(o *Options)
 	}{
 		{"wal", func(o *Options) { o.StoreDir = t.TempDir() }},
-		{"sharded", func(o *Options) {
-			o.StoreDir = t.TempDir()
-			o.StoreBackend = "sharded"
-			o.StoreShards = 2
-		}},
 		{"mem", func(o *Options) { o.StoreBackend = "mem" }},
 		{"disabled", func(o *Options) { o.StoreBackend = "wal" }}, // no dir: no store
 	}

@@ -7,13 +7,12 @@
 // each mutation while degraded, so a tenant heals itself the moment
 // the disk recovers.
 //
-// Degraded mode is tenant-scoped. Tenants on a shared physical backend
-// (the wal and mem backends route every tenant through one log) will
-// degrade together when the disk fails, because each tenant's probe
-// exercises the same write path; sharded-backend tenants have their
-// own shard directories, so one tenant's full disk or failing volume
-// never 503s its neighbors. The default tenant also drives the legacy
-// daemon-level gauges, keeping single-home dashboards unchanged.
+// Degraded mode is tenant-scoped: a tenant degrades when its own
+// mutation fails and its probe confirms the fault, and heals on its own
+// next mutation. Every tenant routes through one shared log, so a
+// failing disk reaches each tenant as soon as it next writes. The
+// default tenant also drives the legacy daemon-level gauges, keeping
+// single-home dashboards unchanged.
 package daemon
 
 import (

@@ -21,14 +21,9 @@ import (
 // no earlier than its last acknowledged step), and must never leak one
 // tenant's keys into another's namespace.
 //
-// Two physical layouts are swept, mirroring how the daemon wires
-// tenants onto backends:
-//
-//   - shared WAL: every tenant is a store.Namespace view over one
-//     group-commit DB, so a global log prefix must induce a valid
-//     per-tenant prefix for each home;
-//   - per-tenant sharded: every tenant owns a ShardedDB under
-//     tenants/<id>, so recovery is fully independent per home.
+// The physical layout is the one the daemon wires: every tenant is a
+// store.Namespace view over one shared group-commit DB, so a global log
+// prefix must induce a valid per-tenant prefix for each home.
 //
 // Worker count 1 gives the deterministic reference sweep; worker
 // counts > 1 interleave tenants' commits, where group-commit
@@ -265,84 +260,5 @@ func TestFleetCrashSharedWAL(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestFleetCrashPerTenantSharded kills the fleet at every failpoint of
-// the per-tenant-ShardedDB layout (the daemon's multi-tenant sharded
-// backend), where each home's shards recover independently.
-func TestFleetCrashPerTenantSharded(t *testing.T) {
-	const shards = 2
-	open := func(fs faultfs.FS) (map[string]store.Adapter, func() error, error) {
-		views := make(map[string]store.Adapter, len(fleetCrashTenants))
-		var closers []func() error
-		closeAll := func() error {
-			var first error
-			for i := len(closers) - 1; i >= 0; i-- {
-				if err := closers[i](); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		}
-		for _, id := range fleetCrashTenants {
-			db, err := store.OpenSharded(store.ShardedOptions{
-				Dir: "/db/tenants/" + id, Shards: shards, SyncWrites: true, FS: fs,
-			})
-			if err != nil {
-				closeAll() //nolint:errcheck // already failing
-				return nil, nil, err
-			}
-			closers = append(closers, db.Close)
-			views[id] = db
-		}
-		return views, closeAll, nil
-	}
-
-	for _, workers := range []int{1, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			faulty := faultfs.NewFaulty(faultfs.NewMemFS(), nil)
-			runFleetCrashWorkload(func() (map[string]store.Adapter, func() error, error) {
-				return open(faulty)
-			}, workers, faulty.Dead)
-			total := faulty.Ops()
-			if total < 20 {
-				t.Fatalf("suspiciously few failpoints: %d", total)
-			}
-
-			for n := 0; n < total; n++ {
-				mem := faultfs.NewMemFS()
-				faulty := faultfs.NewFaulty(mem, faultfs.CrashAt(n))
-				acked := runFleetCrashWorkload(func() (map[string]store.Adapter, func() error, error) {
-					return open(faulty)
-				}, workers, faulty.Dead)
-				if !faulty.Dead() {
-					if workers == 1 {
-						t.Fatalf("failpoint %d never fired (ops=%d)", n, faulty.Ops())
-					}
-					continue
-				}
-
-				mem.Crash()
-				views := make(map[string]store.Adapter, len(fleetCrashTenants))
-				var reopened []interface{ Close() error }
-				for _, id := range fleetCrashTenants {
-					db, err := store.OpenSharded(store.ShardedOptions{
-						Dir: "/db/tenants/" + id, Shards: shards, SyncWrites: true, FS: mem,
-					})
-					if err != nil {
-						t.Fatalf("failpoint %d: reopen tenant %s: %v", n, id, err)
-					}
-					reopened = append(reopened, db)
-					views[id] = db
-				}
-				checkFleetRecovery(t, n, workers, views, acked)
-				for _, db := range reopened {
-					if err := db.Close(); err != nil {
-						t.Fatalf("failpoint %d: close: %v", n, err)
-					}
-				}
-			}
-		})
 	}
 }

@@ -13,8 +13,7 @@ import (
 // (access log, degrade gate, trace middleware, controller API), with
 // the obs layer in its production default (enabled, Info level — the
 // Debug access-log record is level-gated away) versus globally
-// disabled. The acceptance bar is <2% delta; `make obs-bench` turns
-// the two cells into the BENCH_obs.json artifact.
+// disabled. The acceptance bar is <2% delta between the two cells.
 func BenchmarkObsOverhead(b *testing.B) {
 	run := func(b *testing.B, enabled bool) {
 		obs.SetEnabled(enabled)

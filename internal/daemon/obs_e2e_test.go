@@ -59,10 +59,13 @@ func TestDaemonDegradedFlightBundleCorrelation(t *testing.T) {
 		Seed:            7,
 		Mode:            "EP",
 		WeeklyBudgetKWh: 165,
-		StoreDir:        "/flight/store",
-		DiagnosticsDir:  "/flight/diag",
-		FS:              faultfs.NewFaulty(mem, inj),
-		Logf:            t.Logf,
+		// 03:00 in January: the night-heat rule is active, so the
+		// planning run below journals a verdict whatever the wall clock.
+		Clock:          simclock.NewSimClock(time.Date(2015, time.January, 10, 3, 0, 0, 0, time.UTC)),
+		StoreDir:       "/flight/store",
+		DiagnosticsDir: "/flight/diag",
+		FS:             faultfs.NewFaulty(mem, inj),
+		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,12 +6,10 @@
 // generators, which are pure functions of (seed, time) and therefore
 // concurrency-safe by construction).
 //
-// Store namespacing rides the store.Adapter seam: on the wal and mem
-// backends every tenant routes through one shared physical store via
-// store.Namespace(parent, "t/<id>/"); on the sharded backend each
-// tenant gets its own ShardedDB under StoreDir/tenants/<id>, so shard
-// fan-out and compaction stay per-home. Persisted artifacts follow the
-// same layout (PersistDir/tenants/<id>/...). A single-home daemon
+// Store namespacing rides the store.Adapter seam: every tenant routes
+// through one shared physical store via store.Namespace(parent,
+// "t/<id>/"). Persisted artifacts live per tenant under
+// PersistDir/tenants/<id>/.... A single-home daemon
 // (Options.Tenants empty) synthesizes one default tenant with no
 // prefix and the legacy directory layout — bit-for-bit the daemon this
 // package always was.
@@ -147,15 +145,8 @@ func (t *Tenant) Journal() *journal.Journal { return t.journal }
 // Health exposes the tenant's health state.
 func (t *Tenant) Health() *metrics.Health { return t.health }
 
-// Handler exposes the tenant's REST API behind its full middleware
-// chain (access log, degrade gate, trace correlation) — the serving
-// path as requests actually traverse it. imcf-bench drives it
-// in-process to price the observability layer.
-func (t *Tenant) Handler() http.Handler { return t.api }
-
-// Store exposes the tenant's store view (namespaced on shared
-// backends, the tenant's own ShardedDB on the sharded backend), or nil
-// when no store is configured.
+// Store exposes the tenant's store view (namespaced when the daemon
+// hosts tenants), or nil when no store is configured.
 func (t *Tenant) Store() store.Adapter { return t.store }
 
 // buildResidence constructs a built-in residence layout.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -175,10 +173,8 @@ func TestDaemonMultiTenantRouting(t *testing.T) {
 	}
 }
 
-// TestDaemonMultiTenantStores pins the backend-dependent namespace
-// layout: wal/mem route tenants through one shared store under
-// "t/<id>/" prefixes; sharded gives each tenant its own shard
-// directory.
+// TestDaemonMultiTenantStores pins the namespace layout: tenants route
+// through one shared store under "t/<id>/" prefixes.
 func TestDaemonMultiTenantStores(t *testing.T) {
 	tenants := []TenantSpec{
 		{ID: "h1", Residence: "flat", Seed: 1},
@@ -204,26 +200,6 @@ func TestDaemonMultiTenantStores(t *testing.T) {
 		// Cross-tenant invisibility through the views.
 		if keys := d.Tenant("h1").Store().Keys(""); len(keys) != 1 || keys[0] != "imcf/mrt" {
 			t.Errorf("h1 view keys = %v", keys)
-		}
-	})
-	t.Run("sharded", func(t *testing.T) {
-		dir := t.TempDir()
-		d, err := New(Options{
-			Addr: "127.0.0.1:0", Tenants: tenants,
-			WeeklyBudgetKWh: 165, StoreDir: dir,
-			StoreBackend: "sharded", StoreShards: 2, Logf: t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close() //nolint:errcheck // test cleanup
-		for _, id := range []string{"h1", "h2"} {
-			if _, err := os.Stat(filepath.Join(dir, "tenants", id, "SHARDS")); err != nil {
-				t.Errorf("tenant %s shard dir: %v", id, err)
-			}
-			if _, ok := d.Tenant(id).Store().Get("imcf/mrt"); !ok {
-				t.Errorf("tenant %s store missing imcf/mrt", id)
-			}
 		}
 	})
 }
@@ -266,17 +242,17 @@ func TestDaemonFleetCycle(t *testing.T) {
 	}
 }
 
-// TestDaemonTenantDegradedIsolation is the tenant-aware degraded-mode
-// e2e: on the sharded backend each home owns its shard directory, so
-// one tenant's dead disk 503s that tenant only — its neighbor keeps
-// accepting mutations — and the per-tenant metrics say which home
-// degraded. Healing the disk heals only that tenant's mode.
-func TestDaemonTenantDegradedIsolation(t *testing.T) {
+// TestDaemonTenantDegradedSharedLog is the tenant-aware degraded-mode
+// e2e on the shared WAL. Every tenant writes through one log, so a full
+// disk is a shared fault, but degraded mode stays tenant-scoped: a
+// tenant degrades when its own mutation fails and its probe confirms
+// the fault, the per-tenant metrics say which homes degraded, and each
+// tenant heals on its own next mutation once the disk recovers.
+func TestDaemonTenantDegradedSharedLog(t *testing.T) {
 	mem := faultfs.NewMemFS()
 	var diskFull atomic.Bool
 	inj := faultfs.InjectorFunc(func(op faultfs.FaultOp) *faultfs.Fault {
-		// Only h2's shard directory fails.
-		if !diskFull.Load() || !strings.Contains(op.Path, "/tenants/h2/") {
+		if !diskFull.Load() {
 			return nil
 		}
 		if op.Op == faultfs.OpWrite || op.Op == faultfs.OpSync {
@@ -294,8 +270,6 @@ func TestDaemonTenantDegradedIsolation(t *testing.T) {
 		},
 		WeeklyBudgetKWh: 165,
 		StoreDir:        "/fleet/store",
-		StoreBackend:    "sharded",
-		StoreShards:     2,
 		FS:              faultfs.NewFaulty(mem, inj),
 		Logf:            t.Logf,
 	})
@@ -321,7 +295,7 @@ func TestDaemonTenantDegradedIsolation(t *testing.T) {
 		t.Fatalf("healthy POST = %d, want 200", code)
 	}
 
-	// h2's disk fills: first mutation 500s and trips degraded mode.
+	// The disk fills: h2's next mutation 500s and trips degraded mode.
 	diskFull.Store(true)
 	if code := post("h2"); code != http.StatusInternalServerError {
 		t.Fatalf("disk-full POST = %d, want 500", code)
@@ -333,13 +307,10 @@ func TestDaemonTenantDegradedIsolation(t *testing.T) {
 		t.Fatalf("degraded POST = %d, want 503", code)
 	}
 
-	// The neighbor is untouched: h1 still mutates, and the daemon-level
-	// (default tenant) degraded state stays clear.
+	// The neighbor has not written since the fault, so it is not yet
+	// degraded, and the daemon-level (default tenant) state stays clear.
 	if d.Tenant("h1").Degraded() || d.Degraded() {
-		t.Fatal("healthy tenant degraded by neighbor's disk")
-	}
-	if code := post("h1"); code != http.StatusOK {
-		t.Fatalf("neighbor POST = %d, want 200", code)
+		t.Fatal("tenant degraded without a failed mutation of its own")
 	}
 
 	fams := scrapeMetrics(t, obs+"/metrics")
@@ -354,12 +325,31 @@ func TestDaemonTenantDegradedIsolation(t *testing.T) {
 			fams["imcf_daemon_degraded"])
 	}
 
-	// The disk recovers; h2's next mutation probes, heals, and serves.
+	// The neighbor's own mutation then hits the shared log and degrades
+	// it too.
+	if code := post("h1"); code != http.StatusInternalServerError {
+		t.Fatalf("neighbor disk-full POST = %d, want 500", code)
+	}
+	if !d.Tenant("h1").Degraded() || !d.Degraded() {
+		t.Fatal("h1 not degraded after its own persist failure")
+	}
+
+	// The disk recovers; each tenant's next mutation probes, heals, and
+	// serves, and a tenant stays degraded until it does.
 	diskFull.Store(false)
 	if code := post("h2"); code != http.StatusOK {
 		t.Fatalf("post-recovery POST = %d, want 200", code)
 	}
 	if d.Tenant("h2").Degraded() {
 		t.Fatal("h2 still degraded after recovery")
+	}
+	if !d.Tenant("h1").Degraded() {
+		t.Fatal("h1 healed without a probe of its own")
+	}
+	if code := post("h1"); code != http.StatusOK {
+		t.Fatalf("neighbor post-recovery POST = %d, want 200", code)
+	}
+	if d.Degraded() {
+		t.Fatal("h1 still degraded after recovery")
 	}
 }

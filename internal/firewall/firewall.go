@@ -122,19 +122,14 @@ type BlockRule struct {
 	Trace  string
 }
 
-// ApplyBatch applies a planning cycle's firewall programming in one
-// shot: every addr in unblock is re-allowed, then every rule in block
-// is installed, under a single lock acquisition — the coalesced
-// replacement for one Block/Unblock call (and one lock round-trip) per
-// meta-rule. When the same address appears in both lists the block
-// wins: the caller is replacing the address's verdict for this cycle,
-// and the block set is the cycle's final word.
-func (f *Firewall) ApplyBatch(unblock []string, block []BlockRule) {
+// Replace installs block as the whole block set under one lock
+// acquisition: every address not in block is re-allowed. A planning
+// cycle's drops are its final word on the firewall, so a device blocked
+// by an earlier cycle stays blocked only if this cycle drops it again.
+func (f *Firewall) Replace(block []BlockRule) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, a := range unblock {
-		delete(f.blocked, a)
-	}
+	clear(f.blocked)
 	for _, r := range block {
 		f.blocked[r.Addr] = blockEntry{reason: r.Reason, trace: r.Trace}
 	}

@@ -32,6 +32,27 @@ func TestBlockUnblock(t *testing.T) {
 	f.Unblock(addr) // no-op
 }
 
+func TestReplace(t *testing.T) {
+	f := New(nil)
+	f.Block("10.0.0.1", "stale")
+	f.Block("10.0.0.2", "old")
+	f.Replace([]BlockRule{{Addr: "10.0.0.2", Reason: "dropped", Trace: "tr-1"}})
+	if f.Blocked("10.0.0.1") {
+		t.Error("Replace kept 10.0.0.1, which the new set does not block")
+	}
+	if !f.Blocked("10.0.0.2") {
+		t.Error("Replace did not install 10.0.0.2")
+	}
+	f.Check("10.0.0.2")
+	if a := f.Audit(); a[len(a)-1].Reason != "dropped" || a[len(a)-1].Trace != "tr-1" {
+		t.Errorf("replaced rule carries %+v, want the new reason and trace", a[len(a)-1])
+	}
+	f.Replace(nil)
+	if rules := f.Rules(); len(rules) != 0 {
+		t.Errorf("Replace(nil) left %v", rules)
+	}
+}
+
 func TestAuditLog(t *testing.T) {
 	clock := simclock.NewSimClock(time.Date(2020, 6, 1, 12, 0, 0, 0, time.UTC))
 	f := New(clock)

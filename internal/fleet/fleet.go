@@ -101,9 +101,9 @@ type Options struct {
 	// evaluates SLO alert states on. Never concurrent with itself.
 	AfterCycle func()
 
-	// NoMetrics disables the per-tenant metric families. Large
-	// simulated fleets (10k+ homes in imcf-bench -fleet) would otherwise
-	// mint one gauge and counter child per home on the default registry.
+	// NoMetrics disables the per-tenant metric families. Tests and large
+	// simulated fleets would otherwise mint one gauge and counter child
+	// per home on the default registry.
 	NoMetrics bool
 }
 

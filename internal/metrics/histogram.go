@@ -227,8 +227,8 @@ func (b *BucketCount) UnmarshalJSON(data []byte) error {
 }
 
 // Snapshot is a point-in-time copy of a histogram with cumulative
-// bucket counts, suitable for JSON artifacts (BENCH_*.json) and merge
-// arithmetic across runs.
+// bucket counts, suitable for JSON artifacts and merge arithmetic
+// across runs.
 type Snapshot struct {
 	Buckets []BucketCount `json:"buckets,omitempty"`
 	Sum     float64       `json:"sum"`

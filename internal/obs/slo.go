@@ -93,8 +93,8 @@ type Config struct {
 	// recorder. Called synchronously with the engine unlocked, in
 	// tenant order.
 	OnTransition func(tenant string, from, to State)
-	// NoMetrics disables the imcf_slo_* families (large simulated
-	// fleets in imcf-bench).
+	// NoMetrics disables the imcf_slo_* families (tests and large
+	// simulated fleets).
 	NoMetrics bool
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -111,5 +112,48 @@ func TestRunPipelineErrorPropagates(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("pipeline deadlocked on consumer error")
+	}
+}
+
+// TestRunPipelineDescheduledProducer pins the pipeline against the
+// deadlock where a producer is descheduled between claiming a window
+// and taking a buffer for it: the other producer must not be able to
+// fill every buffer with later windows while the consumer waits on the
+// claimed one. The hook holds the producer of window 0 until another
+// producer claims the window just past the buffer count (or a timeout
+// passes), at Workers 2 with the minimum of in-flight buffers.
+func TestRunPipelineDescheduledProducer(t *testing.T) {
+	w := buildWorkload(t, oneYearFlat(t))
+	const workers = 2
+	inflight := workers * prefetchDepth
+	release := make(chan struct{})
+	var once sync.Once
+	pipelineClaimHook = func(k int) {
+		switch {
+		case k == 0:
+			select {
+			case <-release:
+			case <-time.After(500 * time.Millisecond):
+			}
+		case k >= inflight+1:
+			once.Do(func() { close(release) })
+		}
+	}
+	defer func() { pipelineClaimHook = nil }()
+
+	opts := Options{Workers: workers}
+	opts.Planner.Seed = 1234
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(w, EP, opts)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("pipelined EP replay deadlocked with a descheduled producer")
 	}
 }

@@ -672,10 +672,15 @@ func (w *Workload) runEP(planner *core.Planner, opts Options, hourlyBudget [13]f
 // most, bounding peak memory.
 const prefetchDepth = 4
 
+// pipelineClaimHook, when non-nil, runs in a producer right after it
+// claims window k, between taking a buffer and building. Tests use it
+// to deschedule a producer at that point; it is nil otherwise.
+var pipelineClaimHook func(k int)
+
 // runEPPipelined overlaps window-problem construction with the
-// sequential ledger/search loop. Producers claim window indices from an
-// atomic counter and recycle windowProblem structs through a free list
-// whose capacity bounds the prefetch distance; the consumer receives
+// sequential ledger/search loop. Producers take a windowProblem from a
+// free list whose capacity bounds the prefetch distance, then claim a
+// window index from an atomic counter; the consumer receives
 // each window over a per-window buffered channel, preserving window
 // order exactly.
 func (w *Workload) runEPPipelined(ls *ledgerState, acc *runAccumulator, hourlyBudget [13]float64, workers, nWindows int) error {
@@ -709,15 +714,22 @@ func (w *Workload) runEPPipelined(ls *ledgerState, acc *runAccumulator, hourlyBu
 					return
 				default:
 				}
-				k := int(next.Add(1)) - 1
-				if k >= nWindows {
-					return
-				}
+				// Take the buffer before claiming the window: every
+				// claimed window then holds a buffer, so the lowest
+				// unbuilt one (the consumer's next) is always being
+				// built and later windows cannot starve it of buffers.
 				var wp *windowProblem
 				select {
 				case wp = <-free:
 				case <-stop:
 					return
+				}
+				k := int(next.Add(1)) - 1
+				if k >= nWindows {
+					return
+				}
+				if pipelineClaimHook != nil {
+					pipelineClaimHook(k)
 				}
 				w0 := k * window
 				w.buildWindow(wp, scr, &hourlyBudget, w0, min(w0+window, n))

@@ -7,12 +7,10 @@ import (
 
 // Adapter is the storage seam of the controller and daemon: the
 // operations every backend must provide, regardless of how (or
-// whether) it persists them. Three implementations ship:
+// whether) it persists them. Two implementations ship:
 //
 //   - DB — the WAL+snapshot store with group-commit fsync batching,
 //     the durable default;
-//   - ShardedDB — N independent DB shards hashed by key, for write
-//     paths that outgrow a single log;
 //   - MemDB — pure in-memory, for tests, ephemeral daemons and as the
 //     semantic reference the conformance suite measures the durable
 //     backends against.
@@ -20,8 +18,7 @@ import (
 // Multi-home tenancy composes on top of this seam rather than inside
 // any backend: Namespace(parent, "t/<home>/") wraps an Adapter in a
 // Namespaced view that key-prefix-routes one tenant's keys through a
-// shared DB or MemDB, while ShardedDB tenants instead get their own
-// shard directory (one ShardedDB per home under dir/tenants/<id>).
+// shared DB or MemDB.
 // The faultfs.FS seam sits underneath the durable implementations, so
 // crash-consistency testing composes with any Adapter built on it.
 type Adapter interface {
@@ -35,8 +32,7 @@ type Adapter interface {
 	Keys(prefix string) []string
 	// Len returns the number of live keys.
 	Len() int
-	// Apply runs fn to fill a batch and commits it atomically. (For
-	// ShardedDB, atomicity holds per shard; see its documentation.)
+	// Apply runs fn to fill a batch and commits it atomically.
 	Apply(fn func(*Batch) error) error
 	// PutJSON marshals v and stores it at key.
 	PutJSON(key string, v any) error
@@ -57,7 +53,6 @@ type Adapter interface {
 var (
 	_ Adapter = (*DB)(nil)
 	_ Adapter = (*MemDB)(nil)
-	_ Adapter = (*ShardedDB)(nil)
 )
 
 // putJSON is the shared PutJSON implementation behind every backend.

@@ -26,13 +26,6 @@ func backends(t *testing.T) []struct {
 			}
 			return db
 		}},
-		{"sharded", func(t *testing.T) Adapter {
-			s, err := OpenSharded(ShardedOptions{Dir: t.TempDir(), Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
 		{"mem", func(t *testing.T) Adapter {
 			return OpenMem()
 		}},

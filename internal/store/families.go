@@ -36,8 +36,4 @@ var (
 	groupBatchSize = metrics.NewHistogram("imcf_store_group_commit_batch_size",
 		"Writers acknowledged together per group-commit flush.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
-
-	// shardRecords tracks live keys per shard of a ShardedDB.
-	shardRecords = metrics.NewGaugeVec("imcf_store_shard_records",
-		"Live keys per storage shard.", "shard")
 )

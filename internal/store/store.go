@@ -79,11 +79,6 @@ type Options struct {
 	// CompactEvery triggers automatic compaction after this many WAL
 	// records (0 disables automatic compaction).
 	CompactEvery int
-	// NoGroupCommit disables the group-commit pipeline: every mutation
-	// holds the store lock across its own append and fsync, the
-	// pre-batching behaviour. Kept as the measured baseline for
-	// imcf-bench -store; production callers should leave it off.
-	NoGroupCommit bool
 	// FS overrides the file layer (tests inject faultfs fakes to
 	// exercise crash recovery); nil uses the real filesystem.
 	FS faultfs.FS
@@ -125,8 +120,7 @@ type DB struct {
 	pending  []*commitReq
 	spare    []*commitReq // recycled backing array for pending
 	flushing bool
-	groupBuf []byte        // batch framing scratch, reused across flushes
-	oneReq   [1]*commitReq // batch-of-one scratch for the serial path
+	groupBuf []byte // batch framing scratch, reused across flushes
 }
 
 // Open opens (or creates) the store in opts.Dir.
@@ -369,18 +363,9 @@ func encodeOp(dst []byte, op byte, key string, value []byte) []byte {
 	return dst
 }
 
-// finish commits req — through the group-commit queue, or serially
-// under NoGroupCommit — and recycles it.
+// finish commits req through the group-commit queue and recycles it.
 func (db *DB) finish(req *commitReq) error {
-	if db.opts.NoGroupCommit {
-		db.mu.Lock()
-		db.oneReq[0] = req
-		db.flushLocked(db.oneReq[:])
-		db.oneReq[0] = nil
-		db.mu.Unlock()
-	} else {
-		db.commit(req)
-	}
+	db.commit(req)
 	err := req.err
 	releaseReq(req)
 	return err

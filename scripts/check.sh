@@ -17,6 +17,21 @@ fi
 echo ">> go build ./..."
 go build ./...
 
+# check_gate REGEX PKG...: every |-separated name in a -run gate below
+# must match at least one test, benchmark or fuzz target of PKG..., so
+# a deleted or renamed test cannot silently empty a gate.
+check_gate() {
+    regex="$1"
+    shift
+    listed=$(go test -list '.*' "$@" | grep -E '^(Test|Benchmark|Fuzz|Example)')
+    for name in $(echo "$regex" | tr '|' ' '); do
+        if ! echo "$listed" | grep -qE "$name"; then
+            echo "check: FAIL — gate name $name matches no test in $*" >&2
+            exit 1
+        fi
+    done
+}
+
 echo ">> go vet ./..."
 go vet ./...
 
@@ -33,32 +48,34 @@ go run ./cmd/imcf-lint ./...
 # stay allocation-free (testing.AllocsPerRun == 0). Run outside -race
 # (the detector's instrumentation allocates and would mask regressions).
 echo ">> go test -run AllocsTrace ./internal/metrics ./internal/journal"
+check_gate AllocsTrace ./internal/metrics ./internal/journal
 go test -run AllocsTrace -count=1 ./internal/metrics ./internal/journal
 
 # Store append-path allocation gate: one Put must stay within its small
 # pooled-scratch budget (see internal/store/alloc_test.go). Also
 # outside -race for the same reason.
 echo ">> go test -run StorePutAllocs ./internal/store"
+check_gate StorePutAllocs ./internal/store
 go test -run StorePutAllocs -count=1 ./internal/store
 
 # Logging disabled-path allocation gate: a level-gated or globally
 # disabled log call on the serving path must not allocate at all
 # (see internal/obs/obs_test.go). Also outside -race.
 echo ">> go test -run AllocsObs ./internal/obs"
+check_gate AllocsObs ./internal/obs
 go test -run AllocsObs -count=1 ./internal/obs
 
-# Crash suite: kill-at-every-failpoint recovery for the store (single
-# log and sharded — CrashRecoveryEveryFailpoint matches both) and the
-# decision journal, the cross-shard commit-ordering window, the
-# multi-tenant fleet crash suite (shared-WAL namespaces and per-tenant
-# sharded layouts — a crash mid-fleet-cycle must leave every tenant at
-# a point in its own history), plus the daemon degraded-mode e2e
-# (DESIGN.md §11, §12, §13). Runs without -race first so a durability
-# regression fails fast with the failpoint identified, before the
-# slower race cycle repeats it.
+# Crash suite: kill-at-every-failpoint recovery for the store and the
+# decision journal, the multi-tenant fleet crash suite (tenants as
+# namespaces of one shared WAL — a crash mid-fleet-cycle must leave
+# every tenant at a point in its own history), plus the daemon
+# degraded-mode e2e (DESIGN.md §11, §12, §13). Runs without -race first
+# so a durability regression fails fast with the failpoint identified,
+# before the slower race cycle repeats it.
 echo ">> crash suite (kill-at-every-failpoint)"
-go test -count=1 \
-    -run 'CrashRecoveryEveryFailpoint|ShardedCrashBetweenShardCommits|CompactionRenameDurability|FailedCompactionLeavesCleanErrors|JournalCrashRecoveryEveryFailpoint|DaemonDegradedMode|FleetCrashSharedWAL|FleetCrashPerTenantSharded|RecorderCrashEveryFailpoint|DaemonDegradedFlightBundleCorrelation' \
+crash_gate='CrashRecoveryEveryFailpoint|CompactionRenameDurability|FailedCompactionLeavesCleanErrors|JournalCrashRecoveryEveryFailpoint|DaemonDegradedMode|FleetCrashSharedWAL|RecorderCrashEveryFailpoint|DaemonDegradedFlightBundleCorrelation'
+check_gate "$crash_gate" ./internal/store ./internal/persistence ./internal/daemon ./internal/obs
+go test -count=1 -run "$crash_gate" \
     ./internal/store ./internal/persistence ./internal/daemon ./internal/obs
 
 # Tenant-equivalence harness: the multi-home tentpole gate (DESIGN.md
@@ -70,7 +87,9 @@ go test -count=1 \
 # dropping every other delta poll, and across a daemon restart — must
 # stay bit-identical to one rebuilt by polling, for every fleet tenant.
 echo ">> tenant-equivalence harness"
-go test -count=1 -run 'FleetTenantEquivalence|ObsEquivalence|StreamEquivalence' ./internal/daemon
+equiv_gate='FleetTenantEquivalence|ObsEquivalence|StreamEquivalence'
+check_gate "$equiv_gate" ./internal/daemon
+go test -count=1 -run "$equiv_gate" ./internal/daemon
 
 echo ">> go test -race ./..."
 go test -race ./...
