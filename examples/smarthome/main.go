@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("emulating %d devices on loopback HTTP\n", len(endpoints))
 
 	clock := simclock.NewSimClock(time.Date(2015, time.January, 12, 0, 0, 0, 0, time.UTC))
-	fw := firewall.New(clock)
+	fw := firewall.New()
 	c, err := controller.New(controller.Config{
 		Residence:     res,
 		Clock:         clock,

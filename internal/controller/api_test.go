@@ -3,6 +3,7 @@ package controller
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -269,5 +270,22 @@ func TestAPIMRTRejectsOversizedBody(t *testing.T) {
 	}
 	if code := postJSON(t, srv.URL+"/rest/mrt", mrt, nil); code != http.StatusOK {
 		t.Fatalf("normal MRT = %d, want 200", code)
+	}
+}
+
+func TestAPIMRTRejectsTooManyRules(t *testing.T) {
+	c, srv := apiServer(t, nil)
+	mrt := c.MRT()
+	big := rules.MRT{Rules: append([]rules.MetaRule(nil), mrt.Rules...)}
+	for i := 0; len(big.Rules) <= rules.MaxRules; i++ {
+		r := mrt.Rules[0]
+		r.ID = fmt.Sprintf("%s/copy%d", r.ID, i)
+		big.Rules = append(big.Rules, r)
+	}
+	if code := postJSON(t, srv.URL+"/rest/mrt", big, nil); code != http.StatusUnprocessableEntity {
+		t.Fatalf("MRT of %d rules = %d, want 422", len(big.Rules), code)
+	}
+	if got := len(c.MRT().Rules); got != len(mrt.Rules) {
+		t.Fatalf("oversized MRT applied: %d rules now, want %d", got, len(mrt.Rules))
 	}
 }

@@ -19,8 +19,36 @@ import (
 	"github.com/imcf/imcf/internal/firewall"
 )
 
-// ErrBlocked is returned when the firewall drops a device command flow.
+// ErrBlocked is returned when the firewall drops a device command flow,
+// as a *BlockedError that matches it under errors.Is.
 var ErrBlocked = errors.New("controller: flow blocked by meta-control firewall")
+
+// BlockedError is a device command refused by the firewall. It names the
+// block the flow hit: its reason and the trace ID of the planning cycle
+// that installed it ("" for untraced blocks), so a refused actuation can
+// be followed back to the decision that caused it.
+type BlockedError struct {
+	Addr   string
+	Reason string
+	Trace  string
+}
+
+func (e *BlockedError) Error() string { return ErrBlocked.Error() + ": " + e.Addr }
+
+// Unwrap makes a BlockedError match ErrBlocked.
+func (e *BlockedError) Unwrap() error { return ErrBlocked }
+
+// checkFlow passes a device flow through fw (when set), returning a
+// *BlockedError if the firewall drops it.
+func checkFlow(fw *firewall.Firewall, addr string) error {
+	if fw == nil {
+		return nil
+	}
+	if d, block := fw.Check(addr); d == firewall.Drop {
+		return &BlockedError{Addr: addr, Reason: block.Reason, Trace: block.Trace}
+	}
+	return nil
+}
 
 // Binding actuates devices. It is the controller's abstraction over
 // openHAB's binding ecosystem: HTTPBinding drives the emulated Daikin
@@ -43,8 +71,8 @@ type DirectBinding struct {
 
 // Apply implements Binding.
 func (b *DirectBinding) Apply(dev device.Descriptor, value float64) error {
-	if b.Firewall != nil && b.Firewall.Check(dev.Addr) == firewall.Drop {
-		return fmt.Errorf("%w: %s", ErrBlocked, dev.Addr)
+	if err := checkFlow(b.Firewall, dev.Addr); err != nil {
+		return err
 	}
 	_, st, ok := b.Registry.Get(dev.ID)
 	if !ok {
@@ -56,8 +84,8 @@ func (b *DirectBinding) Apply(dev device.Descriptor, value float64) error {
 
 // TurnOff implements Binding.
 func (b *DirectBinding) TurnOff(dev device.Descriptor) error {
-	if b.Firewall != nil && b.Firewall.Check(dev.Addr) == firewall.Drop {
-		return fmt.Errorf("%w: %s", ErrBlocked, dev.Addr)
+	if err := checkFlow(b.Firewall, dev.Addr); err != nil {
+		return err
 	}
 	_, st, ok := b.Registry.Get(dev.ID)
 	if !ok {
@@ -93,8 +121,8 @@ func (b *HTTPBinding) client() *http.Client {
 }
 
 func (b *HTTPBinding) base(dev device.Descriptor) (string, error) {
-	if b.Firewall != nil && b.Firewall.Check(dev.Addr) == firewall.Drop {
-		return "", fmt.Errorf("%w: %s", ErrBlocked, dev.Addr)
+	if err := checkFlow(b.Firewall, dev.Addr); err != nil {
+		return "", err
 	}
 	u, ok := b.Endpoints[dev.ID]
 	if !ok {

@@ -27,7 +27,7 @@ func TestHTTPBindingDrivesEmulatedDevices(t *testing.T) {
 
 	hvac := device.Descriptor{ID: "d1", Class: device.ClassHVAC, Rating: 600 * units.Watt, Addr: "192.168.0.5"}
 	light := device.Descriptor{ID: "l1", Class: device.ClassLight, Rating: 55 * units.Watt, Addr: "192.168.0.6"}
-	fw := firewall.New(nil)
+	fw := firewall.New()
 	b := &HTTPBinding{
 		Endpoints: map[string]string{"d1": daikin.URL(), "l1": hue.URL()},
 		Firewall:  fw,
@@ -67,12 +67,17 @@ func TestHTTPBindingFirewallBlocksTraffic(t *testing.T) {
 	defer daikin.Close()
 
 	hvac := device.Descriptor{ID: "d1", Class: device.ClassHVAC, Rating: 600 * units.Watt, Addr: "192.168.0.5"}
-	fw := firewall.New(nil)
+	fw := firewall.New()
 	b := &HTTPBinding{Endpoints: map[string]string{"d1": daikin.URL()}, Firewall: fw}
 
-	fw.Block(hvac.Addr, "EP drop")
-	if err := b.Apply(hvac, 25); !errors.Is(err, ErrBlocked) {
+	fw.BlockTraced(hvac.Addr, "EP drop", "trace-1")
+	err = b.Apply(hvac, 25)
+	var blocked *BlockedError
+	if !errors.Is(err, ErrBlocked) || !errors.As(err, &blocked) {
 		t.Fatalf("Apply through blocked firewall = %v", err)
+	}
+	if blocked.Reason != "EP drop" || blocked.Trace != "trace-1" {
+		t.Fatalf("blocked error carries reason %q trace %q, want the block's", blocked.Reason, blocked.Trace)
 	}
 	// Crucially: the device received NO traffic.
 	if daikin.Commands() != 0 {
@@ -135,7 +140,7 @@ func TestControllerEndToEndOverHTTP(t *testing.T) {
 	}
 
 	clock := simclock.NewSimClock(time.Date(2015, time.January, 10, 20, 0, 0, 0, time.UTC))
-	fw := firewall.New(clock)
+	fw := firewall.New()
 	cfg := Config{
 		Residence:    res,
 		Clock:        clock,

@@ -231,7 +231,7 @@ func New(cfg Config) (*Controller, error) {
 		ownerActive: make(map[string]int64),
 	}
 	if c.fw == nil {
-		c.fw = firewall.New(cfg.Clock)
+		c.fw = firewall.New()
 	}
 	if cfg.Journal != nil {
 		c.rec = &stepRecorder{j: cfg.Journal}
@@ -405,11 +405,7 @@ func (c *Controller) step(traceID string) (StepReport, error) {
 	stepNo := c.steps
 	c.mu.Unlock()
 
-	report := StepReport{
-		Time:    now,
-		Budget:  budget,
-		PerRule: make(map[string]float64),
-	}
+	report := StepReport{Time: now, Budget: budget}
 
 	// Record every zone's ambient readings, the openHAB-persistence
 	// role of the GUI's measurements table.
@@ -627,6 +623,9 @@ func (c *Controller) finishStep(report StepReport, activeRules []rules.MetaRule,
 				})
 			}
 			report.Dropped = append(report.Dropped, r.ID)
+			if report.PerRule == nil {
+				report.PerRule = make(map[string]float64)
+			}
 			report.PerRule[r.ID] = drops[i]
 		}
 		// Journal the verdicts the planner's recorder did not cover:

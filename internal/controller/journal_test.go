@@ -2,9 +2,13 @@ package controller
 
 import (
 	"context"
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/imcf/imcf/internal/core"
+	"github.com/imcf/imcf/internal/device"
 	"github.com/imcf/imcf/internal/journal"
 	"github.com/imcf/imcf/internal/metrics"
 	"github.com/imcf/imcf/internal/units"
@@ -116,8 +120,9 @@ func TestStepJournalWindowOrdinal(t *testing.T) {
 }
 
 // TestBlockedDeviceCarriesTrace follows a traced cycle into the
-// firewall: a dropped rule's device check must audit with the cycle's
-// trace ID.
+// firewall: a command refused because its rule was dropped must name
+// the block, with the dropping rule in its reason and the cycle's trace
+// ID.
 func TestBlockedDeviceCarriesTrace(t *testing.T) {
 	j := journal.New(64)
 	c := newController(t, func(cfg *Config) {
@@ -132,21 +137,27 @@ func TestBlockedDeviceCarriesTrace(t *testing.T) {
 	if len(report.Dropped) == 0 {
 		t.Skip("budget did not force a drop at this hour")
 	}
-	// Find the dropped rule's device and poke it through the firewall.
-	var addr string
+	// Find the dropped rule's device and command it.
+	var dev device.Descriptor
 	for _, d := range c.Registry().List() {
 		if c.Firewall().Blocked(d.Addr) {
-			addr = d.Addr
+			dev = d
 			break
 		}
 	}
-	if addr == "" {
+	if dev.ID == "" {
 		t.Fatal("no blocked device after a drop")
 	}
-	c.Firewall().Check(addr)
-	audit := c.Firewall().Audit()
-	last := audit[len(audit)-1]
-	if last.Trace != tc.TraceIDString() {
-		t.Fatalf("audit trace %q, want %q", last.Trace, tc.TraceIDString())
+	err = c.Command(dev.ID, 22)
+	var blocked *BlockedError
+	if !errors.As(err, &blocked) || !errors.Is(err, ErrBlocked) {
+		t.Fatalf("Command on blocked device = %v, want a *BlockedError matching ErrBlocked", err)
+	}
+	if blocked.Addr != dev.Addr || blocked.Trace != tc.TraceIDString() {
+		t.Fatalf("blocked error names %s trace %q, want %s trace %q",
+			blocked.Addr, blocked.Trace, dev.Addr, tc.TraceIDString())
+	}
+	if !slices.ContainsFunc(report.Dropped, func(id string) bool { return strings.Contains(blocked.Reason, id) }) {
+		t.Fatalf("blocked error reason %q names none of the dropped rules %v", blocked.Reason, report.Dropped)
 	}
 }

@@ -210,7 +210,7 @@ func TestStreamSSEUnresumableIs409(t *testing.T) {
 }
 
 func TestFinishStepCoalescesFirewallProgramming(t *testing.T) {
-	fw := firewall.New(nil)
+	fw := firewall.New()
 	c, _ := apiServer(t, func(cfg *Config) { cfg.Firewall = fw })
 	report, err := c.Step()
 	if err != nil {

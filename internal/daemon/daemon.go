@@ -583,5 +583,10 @@ func (d *Daemon) Close() error {
 			firstErr = err
 		}
 	}
+	for _, t := range d.tenants {
+		if t.Degraded() {
+			t.clearDegradedGauges()
+		}
+	}
 	return firstErr
 }

@@ -90,11 +90,19 @@ func (t *Tenant) exitDegraded() {
 		return
 	}
 	t.health.ClearDegraded()
+	t.clearDegradedGauges()
+	t.logf("daemon: tenant %s disk recovered, leaving degraded mode", t.id)
+}
+
+// clearDegradedGauges zeroes the tenant's degraded gauges. They are
+// process-global, so the daemon also clears them when it closes a
+// degraded tenant: otherwise they keep reporting a home that no longer
+// exists.
+func (t *Tenant) clearDegradedGauges() {
 	tenantDegradedGauge.With(t.id).Set(0)
 	if t.isDefault {
 		degradedGauge.Set(0)
 	}
-	t.logf("daemon: tenant %s disk recovered, leaving degraded mode", t.id)
 }
 
 // noteError classifies an error from the tenant's serving or planning

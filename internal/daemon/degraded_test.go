@@ -73,7 +73,9 @@ func TestDaemonDegradedMode(t *testing.T) {
 
 	// The disk fills. The first mutation fails server-side (500: the
 	// table was accepted but could not be persisted) and the follow-up
-	// probe flips the daemon into degraded mode.
+	// probe flips the daemon into degraded mode. The counters are
+	// process-global, so they are read as deltas from here.
+	entries0, rejects0 := float64(degradedEntries.Value()), float64(degradedRejects.Value())
 	diskFull.Store(true)
 	if resp := postMRT(); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("disk-full POST /rest/mrt = %d, want 500", drainStatus(resp))
@@ -131,11 +133,11 @@ func TestDaemonDegradedMode(t *testing.T) {
 	if fams["imcf_daemon_degraded"] != 1 {
 		t.Fatalf("imcf_daemon_degraded = %v, want 1", fams["imcf_daemon_degraded"])
 	}
-	if fams["imcf_daemon_degraded_entries_total"] != 1 {
-		t.Fatalf("degraded entries = %v, want 1", fams["imcf_daemon_degraded_entries_total"])
+	if got := fams["imcf_daemon_degraded_entries_total"] - entries0; got != 1 {
+		t.Fatalf("degraded entries rose by %v, want 1", got)
 	}
-	if fams["imcf_daemon_degraded_rejected_total"] < 1 {
-		t.Fatalf("degraded rejects = %v, want >= 1", fams["imcf_daemon_degraded_rejected_total"])
+	if got := fams["imcf_daemon_degraded_rejected_total"] - rejects0; got < 1 {
+		t.Fatalf("degraded rejects rose by %v, want >= 1", got)
 	}
 
 	// The operator frees disk space. The next mutation's recovery probe
@@ -198,4 +200,62 @@ func getBodyOK(t *testing.T, url string) string {
 func drainStatus(resp *http.Response) int {
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// TestDaemonCloseClearsDegradedGauges closes a daemon whose tenants are
+// both degraded. The degraded gauges are process-global, so a closed
+// daemon must zero the ones it set: otherwise they keep reporting a
+// daemon that no longer exists, and leak into the next daemon built in
+// the same process.
+func TestDaemonCloseClearsDegradedGauges(t *testing.T) {
+	var diskFull atomic.Bool
+	inj := faultfs.InjectorFunc(func(op faultfs.FaultOp) *faultfs.Fault {
+		if diskFull.Load() && (op.Op == faultfs.OpWrite || op.Op == faultfs.OpSync) {
+			return &faultfs.Fault{Err: syscall.ENOSPC}
+		}
+		return nil
+	})
+	d, err := New(Options{
+		Addr: "127.0.0.1:0",
+		Tenants: []TenantSpec{
+			{ID: "gauge-h1", Residence: "flat", Seed: 1},
+			{ID: "gauge-h2", Residence: "flat", Seed: 2},
+		},
+		WeeklyBudgetKWh: 165,
+		StoreDir:        "/gauges/store",
+		FS:              faultfs.NewFaulty(faultfs.NewMemFS(), inj),
+		Logf:            t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //nolint:errcheck // test cleanup
+	d.Start()
+	api := "http://" + d.APIAddr()
+	mrtJSON := getBodyOK(t, api+"/t/gauge-h1/rest/mrt")
+
+	diskFull.Store(true)
+	for _, id := range []string{"gauge-h1", "gauge-h2"} {
+		resp, err := http.Post(api+"/t/"+id+"/rest/mrt", "application/json", strings.NewReader(mrtJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainStatus(resp)
+		if !d.Tenant(id).Degraded() {
+			t.Fatalf("tenant %s not degraded after a failed persist", id)
+		}
+	}
+	if degradedGauge.Value() != 1 || tenantDegradedGauge.With("gauge-h2").Value() != 1 {
+		t.Fatal("degraded gauges not set before Close")
+	}
+
+	d.Close() //nolint:errcheck // the store cannot flush to the full disk
+	if got := degradedGauge.Value(); got != 0 {
+		t.Errorf("imcf_daemon_degraded = %v after Close, want 0", got)
+	}
+	for _, id := range []string{"gauge-h1", "gauge-h2"} {
+		if got := tenantDegradedGauge.With(id).Value(); got != 0 {
+			t.Errorf("imcf_tenant_degraded{tenant=%q} = %v after Close, want 0", id, got)
+		}
+	}
 }

@@ -293,7 +293,7 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, multi bool, view store
 	}
 
 	if opts.Emulate {
-		fw := firewall.New(opts.Clock)
+		fw := firewall.New()
 		endpoints := make(map[string]string)
 		for _, z := range res.Zones {
 			dk, err := devicesim.StartDaikin()

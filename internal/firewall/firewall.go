@@ -5,19 +5,18 @@
 // ("iptables -A OUTPUT -s 192.168.0.5 -j DROP") to cut TCP flows to
 // designated Things on the local network.
 //
-// Every decision is auditable: the firewall records allowed and dropped
-// flow checks with timestamps, so the bench and examples can demonstrate
-// that dropped rules produce no device traffic.
+// Every block is explained: it carries the reason and the causal trace
+// of the planning cycle that installed it, and a dropped flow check
+// hands both back to the binding, which puts them on the refused
+// command's error. Allowed and dropped checks are counted.
 package firewall
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/imcf/imcf/internal/metrics"
-	"github.com/imcf/imcf/internal/simclock"
 )
 
 // Flow-check counters, resolved to their label children once so Check
@@ -46,20 +45,6 @@ func (d Decision) String() string {
 	return "ACCEPT"
 }
 
-// AuditEntry records one flow check.
-type AuditEntry struct {
-	Time     time.Time
-	Addr     string
-	Decision Decision
-	// Reason is the meta-rule or operator action behind a block, empty
-	// for allowed flows.
-	Reason string
-	// Trace is the causal trace ID of the planning cycle that installed
-	// the block rule this check hit, empty for allowed flows and for
-	// untraced blocks — the firewall's end of end-to-end tracing.
-	Trace string
-}
-
 // blockEntry is one installed block rule.
 type blockEntry struct {
 	reason string
@@ -70,27 +55,15 @@ type blockEntry struct {
 // construct with New.
 type Firewall struct {
 	mu      sync.Mutex
-	clock   simclock.Clock
 	blocked map[string]blockEntry
-	audit   []AuditEntry
 	// counters
 	allowed int64
 	dropped int64
-	// auditLimit bounds the in-memory audit log.
-	auditLimit int
 }
 
-// New returns an empty firewall using the given clock for audit
-// timestamps (nil means the system clock).
-func New(clock simclock.Clock) *Firewall {
-	if clock == nil {
-		clock = simclock.RealClock{}
-	}
-	return &Firewall{
-		clock:      clock,
-		blocked:    make(map[string]blockEntry),
-		auditLimit: 4096,
-	}
+// New returns an empty firewall.
+func New() *Firewall {
+	return &Firewall{blocked: make(map[string]blockEntry)}
 }
 
 // Block drops all future flows to addr, recording why.
@@ -99,8 +72,8 @@ func (f *Firewall) Block(addr, reason string) {
 }
 
 // BlockTraced is Block tagged with the causal trace ID of the planning
-// cycle that decided the block; subsequent dropped checks of addr carry
-// the trace in their audit entries.
+// cycle that decided the block; subsequent dropped checks of addr
+// return it.
 func (f *Firewall) BlockTraced(addr, reason, trace string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -115,7 +88,10 @@ func (f *Firewall) Unblock(addr string) {
 	delete(f.blocked, addr)
 }
 
-// BlockRule is one entry of a batched block application.
+// BlockRule is one installed block: the address it drops, the meta-rule
+// or operator action behind it, and the causal trace ID of the planning
+// cycle that installed it ("" when untraced) — the firewall's end of
+// end-to-end tracing.
 type BlockRule struct {
 	Addr   string
 	Reason string
@@ -143,44 +119,21 @@ func (f *Firewall) Blocked(addr string) bool {
 	return ok
 }
 
-// Check evaluates a flow to addr, records it in the audit log and
-// returns the decision. Bindings call this before any device I/O.
-func (f *Firewall) Check(addr string) Decision {
+// Check evaluates a flow to addr, counts it and returns the decision;
+// a dropped flow also returns the block rule it hit. Bindings call this
+// before any device I/O.
+func (f *Firewall) Check(addr string) (Decision, BlockRule) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	entry, isBlocked := f.blocked[addr]
-	d := Allow
-	if isBlocked {
-		d = Drop
-		f.dropped++
-		checksDropped.Inc()
-	} else {
+	if !isBlocked {
 		f.allowed++
 		checksAllowed.Inc()
+		return Allow, BlockRule{}
 	}
-	f.audit = append(f.audit, AuditEntry{
-		Time:     f.clock.Now(),
-		Addr:     addr,
-		Decision: d,
-		Reason:   entry.reason,
-		Trace:    entry.trace,
-	})
-	if len(f.audit) > f.auditLimit {
-		// Keep the most recent half; copy so the old backing array is
-		// released.
-		keep := f.audit[len(f.audit)-f.auditLimit/2:]
-		f.audit = append(make([]AuditEntry, 0, f.auditLimit), keep...)
-	}
-	return d
-}
-
-// Audit returns a copy of the audit log, oldest first.
-func (f *Firewall) Audit() []AuditEntry {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]AuditEntry, len(f.audit))
-	copy(out, f.audit)
-	return out
+	f.dropped++
+	checksDropped.Inc()
+	return Drop, BlockRule{Addr: addr, Reason: entry.reason, Trace: entry.trace}
 }
 
 // Counters returns the number of allowed and dropped flow checks.
@@ -207,11 +160,10 @@ func (f *Firewall) Rules() []string {
 	return out
 }
 
-// Reset clears all block rules and the audit log.
+// Reset clears all block rules and the counters.
 func (f *Firewall) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.blocked = make(map[string]blockEntry)
-	f.audit = nil
 	f.allowed, f.dropped = 0, 0
 }

@@ -4,36 +4,33 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"github.com/imcf/imcf/internal/simclock"
 )
 
 func TestBlockUnblock(t *testing.T) {
-	f := New(nil)
+	f := New()
 	addr := "192.168.0.5"
 	if f.Blocked(addr) {
 		t.Error("fresh firewall blocks")
 	}
-	if d := f.Check(addr); d != Allow {
+	if d, _ := f.Check(addr); d != Allow {
 		t.Errorf("Check = %v, want ACCEPT", d)
 	}
 	f.Block(addr, "rule flat/night-heat dropped")
 	if !f.Blocked(addr) {
 		t.Error("Block had no effect")
 	}
-	if d := f.Check(addr); d != Drop {
+	if d, _ := f.Check(addr); d != Drop {
 		t.Errorf("Check = %v, want DROP", d)
 	}
 	f.Unblock(addr)
-	if d := f.Check(addr); d != Allow {
+	if d, _ := f.Check(addr); d != Allow {
 		t.Errorf("after Unblock Check = %v", d)
 	}
 	f.Unblock(addr) // no-op
 }
 
 func TestReplace(t *testing.T) {
-	f := New(nil)
+	f := New()
 	f.Block("10.0.0.1", "stale")
 	f.Block("10.0.0.2", "old")
 	f.Replace([]BlockRule{{Addr: "10.0.0.2", Reason: "dropped", Trace: "tr-1"}})
@@ -43,9 +40,8 @@ func TestReplace(t *testing.T) {
 	if !f.Blocked("10.0.0.2") {
 		t.Error("Replace did not install 10.0.0.2")
 	}
-	f.Check("10.0.0.2")
-	if a := f.Audit(); a[len(a)-1].Reason != "dropped" || a[len(a)-1].Trace != "tr-1" {
-		t.Errorf("replaced rule carries %+v, want the new reason and trace", a[len(a)-1])
+	if _, block := f.Check("10.0.0.2"); block.Reason != "dropped" || block.Trace != "tr-1" {
+		t.Errorf("replaced rule carries %+v, want the new reason and trace", block)
 	}
 	f.Replace(nil)
 	if rules := f.Rules(); len(rules) != 0 {
@@ -53,26 +49,16 @@ func TestReplace(t *testing.T) {
 	}
 }
 
-func TestAuditLog(t *testing.T) {
-	clock := simclock.NewSimClock(time.Date(2020, 6, 1, 12, 0, 0, 0, time.UTC))
-	f := New(clock)
-	f.Block("10.0.0.1", "EP drop")
-	f.Check("10.0.0.1")
-	clock.Advance(time.Hour)
-	f.Check("10.0.0.2")
-
-	audit := f.Audit()
-	if len(audit) != 2 {
-		t.Fatalf("audit has %d entries", len(audit))
+func TestCheckReturnsBlock(t *testing.T) {
+	f := New()
+	f.BlockTraced("10.0.0.1", "EP drop", "tr-7")
+	d, block := f.Check("10.0.0.1")
+	if d != Drop || block != (BlockRule{Addr: "10.0.0.1", Reason: "EP drop", Trace: "tr-7"}) {
+		t.Errorf("blocked check = %v, %+v", d, block)
 	}
-	if audit[0].Decision != Drop || audit[0].Reason != "EP drop" {
-		t.Errorf("entry 0 = %+v", audit[0])
-	}
-	if audit[1].Decision != Allow || audit[1].Reason != "" {
-		t.Errorf("entry 1 = %+v", audit[1])
-	}
-	if !audit[1].Time.Equal(audit[0].Time.Add(time.Hour)) {
-		t.Errorf("timestamps: %v then %v", audit[0].Time, audit[1].Time)
+	d, block = f.Check("10.0.0.2")
+	if d != Allow || block != (BlockRule{}) {
+		t.Errorf("allowed check = %v, %+v", d, block)
 	}
 	allowed, dropped := f.Counters()
 	if allowed != 1 || dropped != 1 {
@@ -80,22 +66,8 @@ func TestAuditLog(t *testing.T) {
 	}
 }
 
-func TestAuditBounded(t *testing.T) {
-	f := New(nil)
-	for i := 0; i < 10000; i++ {
-		f.Check("10.0.0.1")
-	}
-	if n := len(f.Audit()); n > 4096 {
-		t.Errorf("audit grew to %d entries", n)
-	}
-	allowed, _ := f.Counters()
-	if allowed != 10000 {
-		t.Errorf("counters lost track: %d", allowed)
-	}
-}
-
 func TestRulesIptablesSyntax(t *testing.T) {
-	f := New(nil)
+	f := New()
 	f.Block("192.168.0.9", "x")
 	f.Block("192.168.0.5", "y")
 	rules := f.Rules()
@@ -111,12 +83,12 @@ func TestRulesIptablesSyntax(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	f := New(nil)
+	f := New()
 	f.Block("a", "r")
 	f.Check("a")
 	f.Reset()
-	if f.Blocked("a") || len(f.Audit()) != 0 {
-		t.Error("Reset incomplete")
+	if f.Blocked("a") {
+		t.Error("Reset kept the block")
 	}
 	allowed, dropped := f.Counters()
 	if allowed != 0 || dropped != 0 {
@@ -125,7 +97,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestConcurrentChecks(t *testing.T) {
-	f := New(nil)
+	f := New()
 	f.Block("blocked", "r")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -22,6 +23,34 @@ func TestAllocsTraceDisabledJournal(t *testing.T) {
 	j.SetEnabled(true)
 	if n := testing.AllocsPerRun(200, func() { j.Append(e) }); n != 0 {
 		t.Fatalf("enabled Append allocates %v per op, want 0", n)
+	}
+}
+
+// TestAllocsTraceJournalFullRing pins the growing ring's allocation
+// budget: filling a journal from empty allocates at most one block per
+// blockLen events, and once the ring has reached its cap an enabled
+// Append allocates nothing. check.sh gates on this with the disabled
+// test above.
+func TestAllocsTraceJournalFullRing(t *testing.T) {
+	slot := time.Date(2025, 6, 1, 7, 0, 0, 0, time.UTC)
+	e := Event{Slot: slot, Rule: "r1", Verdict: VerdictDropped, FlipIter: 3}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	for _, capacity := range []int{1, 255, 256, 300, DefaultCap} {
+		j := New(capacity)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < capacity; i++ {
+			j.Append(e)
+		}
+		runtime.ReadMemStats(&after)
+		blocks := uint64((capacity + blockLen - 1) / blockLen)
+		if fill := after.Mallocs - before.Mallocs; fill > blocks {
+			t.Errorf("cap %d: filling from empty allocated %d times, want at most %d", capacity, fill, blocks)
+		}
+		if n := testing.AllocsPerRun(200, func() { j.Append(e) }); n != 0 {
+			t.Errorf("cap %d: Append on a full ring allocates %v per op, want 0", capacity, n)
+		}
 	}
 }
 

@@ -9,8 +9,11 @@
 // Events are produced by core's DecisionRecorder hook (the live
 // controller and the simulator install adapters that enrich the
 // planner's index-based callbacks with rule identity, slot and trace
-// ID) and land in a fixed ring. Appending is a mutex-guarded ring
-// assignment — allocation-free — and a single atomic load when the
+// ID) and land in a bounded ring of fixed-size blocks, each allocated
+// the first time the ring reaches it, so a quiet journal holds only the
+// blocks its events fill. Appending is a mutex-guarded slot assignment —
+// one block allocation per blockLen events until the ring reaches its
+// cap, allocation-free after — and a single atomic load when the
 // journal is disabled, so the planner stays instrumented
 // unconditionally without perturbing the replay hot path.
 package journal
@@ -143,28 +146,63 @@ type Sink interface {
 type Journal struct {
 	enabled atomic.Bool
 
-	mu   sync.Mutex
-	ring []Event
-	at   int
-	n    int
-	seq  uint64
-	sink Sink
+	mu sync.Mutex
+	// blocks holds the ring's slots blockLen at a time; slot i lives in
+	// blocks[i/blockLen], which stays nil until the ring first reaches
+	// it. Blocks are never copied or freed.
+	blocks   [][]Event
+	capacity int
+	at       int
+	n        int
+	seq      uint64
+	sink     Sink
 }
 
 // DefaultCap is the default ring capacity: a week of hourly cycles over
 // a few dozen rules.
 const DefaultCap = 4096
 
+// blockLen is the number of events per ring block: the allocation unit
+// of a growing ring.
+const blockLen = 256
+
 // New returns an enabled journal keeping the most recent capacity
-// events (capacity < 1 means DefaultCap).
+// events (capacity < 1 means DefaultCap). No event storage is
+// allocated until events arrive.
 func New(capacity int) *Journal {
 	if capacity < 1 {
 		capacity = DefaultCap
 	}
-	j := &Journal{ring: make([]Event, capacity)}
+	j := &Journal{
+		blocks:   make([][]Event, (capacity+blockLen-1)/blockLen),
+		capacity: capacity,
+	}
 	j.enabled.Store(true)
 	return j
 }
+
+// put stores ev in the next ring slot, allocating the slot's block on
+// first use, and reports whether it overwrote (evicted) an event. The
+// caller holds mu.
+func (j *Journal) put(ev Event) bool {
+	b := j.at / blockLen
+	if j.blocks[b] == nil {
+		j.blocks[b] = make([]Event, min(blockLen, j.capacity-b*blockLen))
+	}
+	j.blocks[b][j.at%blockLen] = ev
+	j.at++
+	if j.at == j.capacity {
+		j.at = 0
+	}
+	if j.n < j.capacity {
+		j.n++
+		return false
+	}
+	return true
+}
+
+// slot returns the event in ring slot i. The caller holds mu.
+func (j *Journal) slot(i int) Event { return j.blocks[i/blockLen][i%blockLen] }
 
 // SetEnabled switches event recording on or off. Disabled, Append is a
 // single atomic load — the zero-alloc-when-disabled recorder contract.
@@ -180,10 +218,11 @@ func (j *Journal) SetSink(s Sink) {
 	j.mu.Unlock()
 }
 
-// Append records one event, stamping its sequence number. The ring
-// assignment allocates nothing; with a sink installed the event is
-// also handed to it (sink failures increment
-// imcf_journal_sink_errors_total and are otherwise swallowed).
+// Append records one event, stamping its sequence number. The slot
+// assignment allocates only the first time the ring reaches a block;
+// with a sink installed the event is also handed to it (sink failures
+// increment imcf_journal_sink_errors_total and are otherwise
+// swallowed).
 func (j *Journal) Append(ev Event) {
 	if !j.enabled.Load() {
 		return
@@ -191,11 +230,7 @@ func (j *Journal) Append(ev Event) {
 	j.mu.Lock()
 	j.seq++
 	ev.Seq = j.seq
-	j.ring[j.at] = ev
-	j.at = (j.at + 1) % len(j.ring)
-	if j.n < len(j.ring) {
-		j.n++
-	} else {
+	if j.put(ev) {
 		evicted.Inc()
 	}
 	sink := j.sink
@@ -216,11 +251,7 @@ func (j *Journal) Preload(ev Event) {
 	if ev.Seq > j.seq {
 		j.seq = ev.Seq
 	}
-	j.ring[j.at] = ev
-	j.at = (j.at + 1) % len(j.ring)
-	if j.n < len(j.ring) {
-		j.n++
-	}
+	j.put(ev)
 	j.mu.Unlock()
 }
 
@@ -309,11 +340,11 @@ func (j *Journal) Recent(f Filter) []Event {
 	defer j.mu.Unlock()
 	out := make([]Event, 0, j.n)
 	start := 0
-	if j.n == len(j.ring) {
+	if j.n == j.capacity {
 		start = j.at
 	}
 	for i := 0; i < j.n; i++ {
-		ev := j.ring[(start+i)%len(j.ring)]
+		ev := j.slot((start + i) % j.capacity)
 		if f.Match(ev) {
 			out = append(out, ev)
 		}

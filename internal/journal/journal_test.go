@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -112,8 +114,106 @@ func TestSetEnabledDropsEvents(t *testing.T) {
 
 func TestNewDefaultCap(t *testing.T) {
 	j := New(0)
-	if len(j.ring) != DefaultCap {
-		t.Fatalf("default cap = %d, want %d", len(j.ring), DefaultCap)
+	before := evicted.Value()
+	for i := 0; i <= DefaultCap; i++ {
+		j.Append(ev(i, "r", VerdictExecuted))
+	}
+	if got := j.Len(); got != DefaultCap {
+		t.Fatalf("Len = %d after %d appends, want the default cap %d", got, DefaultCap+1, DefaultCap)
+	}
+	if got := evicted.Value() - before; got != 1 {
+		t.Fatalf("evicted %d events, want 1", got)
+	}
+}
+
+// TestRingMatchesModel drives journals of several capacities (below,
+// at and across the block length) with a random mix of Append and
+// Preload, and checks Len, the eviction count and Recent — unfiltered,
+// and with a filter and a limit — against a plain slice holding the
+// most recent capacity events.
+func TestRingMatchesModel(t *testing.T) {
+	for _, capacity := range []int{1, 255, 256, 300, 4096} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			j := New(capacity)
+			var model []Event
+			var seq uint64
+			evictions := evicted.Value()
+			push := func(e Event) bool {
+				model = append(model, e)
+				if len(model) > capacity {
+					model = model[1:]
+					return true
+				}
+				return false
+			}
+			check := func(op int) {
+				t.Helper()
+				if got := j.Len(); got != len(model) {
+					t.Fatalf("op %d: Len = %d, want %d", op, got, len(model))
+				}
+				if got := evicted.Value(); got != evictions {
+					t.Fatalf("op %d: evicted counter = %d, want %d", op, got, evictions)
+				}
+				if got := j.Recent(Filter{}); !slices.Equal(got, model) {
+					t.Fatalf("op %d: Recent differs from the model (len %d vs %d)", op, len(got), len(model))
+				}
+				f := Filter{Rule: "r1", Verdict: VerdictDropped, Limit: 1 + rng.Intn(5)}
+				var want []Event
+				for _, e := range model {
+					if f.Match(e) {
+						want = append(want, e)
+					}
+				}
+				if len(want) > f.Limit {
+					want = want[len(want)-f.Limit:]
+				}
+				if got := j.Recent(f); !slices.Equal(got, want) {
+					t.Fatalf("op %d: Recent(%+v) = %+v, want %+v", op, f, got, want)
+				}
+			}
+			event := func(i int) Event {
+				v := VerdictExecuted
+				if rng.Intn(2) == 0 {
+					v = VerdictDropped
+				}
+				return ev(i, fmt.Sprintf("r%d", rng.Intn(3)), v)
+			}
+			// Restart replay: preload past the capacity, so the
+			// preloaded events themselves wrap the ring.
+			op := 0
+			for ; op < capacity+capacity/2+1; op++ {
+				e := event(op)
+				e.Seq = uint64(op + 1)
+				seq = e.Seq
+				j.Preload(e)
+				push(e)
+			}
+			check(op)
+			// Then live appends, mixed with preloads of old and new
+			// sequence numbers, past the capacity again.
+			every := 1 + capacity/64
+			for end := op + 2*capacity + 10; op < end; op++ {
+				e := event(op)
+				if rng.Intn(10) == 0 {
+					e.Seq = uint64(rng.Int63n(int64(seq) + 5))
+					seq = max(seq, e.Seq)
+					j.Preload(e)
+					push(e)
+				} else {
+					seq++
+					e.Seq = seq
+					j.Append(e)
+					if push(e) {
+						evictions++
+					}
+				}
+				if op%every == 0 {
+					check(op)
+				}
+			}
+			check(op)
+		})
 	}
 }
 

@@ -131,8 +131,17 @@ type MRT struct {
 	Rules []MetaRule `json:"rules"`
 }
 
-// Validate checks every rule and ID uniqueness.
+// MaxRules bounds an MRT's rule count. It sits well above the largest
+// built-in residence (the Dorms' 600 convenience rules) and keeps a
+// table posted over the API from sizing the planner's per-cycle work
+// without limit.
+const MaxRules = 4096
+
+// Validate checks the rule count, every rule and ID uniqueness.
 func (t MRT) Validate() error {
+	if len(t.Rules) > MaxRules {
+		return fmt.Errorf("rules: MRT has %d rules, more than the %d allowed", len(t.Rules), MaxRules)
+	}
 	seen := make(map[string]bool, len(t.Rules))
 	for _, r := range t.Rules {
 		if err := r.Validate(); err != nil {

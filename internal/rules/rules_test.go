@@ -2,6 +2,7 @@ package rules
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,20 @@ func TestMRTDuplicateIDs(t *testing.T) {
 	}}
 	if err := mrt.Validate(); err == nil {
 		t.Error("duplicate IDs accepted")
+	}
+}
+
+func TestMRTRuleCountCapped(t *testing.T) {
+	mrt := MRT{Rules: make([]MetaRule, MaxRules+1)}
+	for i := range mrt.Rules {
+		mrt.Rules[i] = MetaRule{ID: fmt.Sprintf("b%d", i), Action: ActionSetKWhLimit, Value: 100}
+	}
+	if err := mrt.Validate(); err == nil {
+		t.Errorf("MRT of %d rules accepted", len(mrt.Rules))
+	}
+	mrt.Rules = mrt.Rules[:MaxRules]
+	if err := mrt.Validate(); err != nil {
+		t.Errorf("MRT of exactly MaxRules rules rejected: %v", err)
 	}
 }
 

@@ -78,6 +78,13 @@ check_gate "$crash_gate" ./internal/store ./internal/persistence ./internal/daem
 go test -count=1 -run "$crash_gate" \
     ./internal/store ./internal/persistence ./internal/daemon ./internal/obs
 
+# Degraded-mode tests in random order, twice over: the degraded gauges
+# and counters are process-global, so a test that leaks one into the
+# next, or assumes one starts at zero, fails here.
+echo ">> degraded-mode tests, shuffled"
+check_gate Degraded ./internal/daemon
+go test -count=2 -shuffle=on -run Degraded ./internal/daemon
+
 # Tenant-equivalence harness: the multi-home tentpole gate (DESIGN.md
 # §13) — one home hosted solo and hosted as a fleet tenant among noisy
 # neighbors must produce bit-identical journal hashes, event streams,
