@@ -164,6 +164,13 @@ type Controller struct {
 	clock    simclock.Clock
 	rec      *stepRecorder
 
+	// stepMu serializes planning cycles: the planner, the step scratch
+	// and a cycle's firewall programming belong to one step at a time,
+	// whichever entry point (cron, fleet Cycle, POST /rest/plan/run)
+	// started it. Lock order: stepMu, then mu.
+	stepMu  sync.Mutex
+	scratch stepScratch
+
 	mu          sync.Mutex
 	mrt         rules.MRT
 	carry       float64
@@ -175,9 +182,51 @@ type Controller struct {
 	steps       int
 	ownerErr    map[string]float64
 	ownerActive map[string]int64
-	lastStep    *StepReport
 	history     []StepReport // ring of the most recent step reports
 	historyAt   int
+}
+
+// stepScratch is one planning cycle's working set: the active rules,
+// their devices and drop errors, the planner's problem, the expanded
+// solution and the firewall block list. Its slices are grown under a
+// cap guard and reused by every step, as core.Planner reuses its own
+// scratch, so they are valid only inside the step that filled them;
+// stepMu is their guard. Nothing a step hands out aliases them: report
+// rule lists get a fresh array per report (splitNames).
+type stepScratch struct {
+	active    []rules.MetaRule
+	devs      []device.Descriptor
+	drops     []float64
+	planned   []int
+	costs     []core.RuleCost
+	sol       core.Solution
+	setpoints []float64
+	blocks    []firewall.BlockRule
+}
+
+// collectActive fills the scratch with the table's rules active at
+// hour, in table order. Budget rules are never active.
+//
+//imcf:noalloc
+func (sc *stepScratch) collectActive(table []rules.MetaRule, hour int) []rules.MetaRule {
+	sc.active = sc.active[:0]
+	for i := range table {
+		if table[i].ActiveAt(hour) {
+			sc.active = append(sc.active, table[i])
+		}
+	}
+	return sc.active
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short. The contents are stale; callers overwrite or clear them.
+//
+//imcf:noalloc
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // historyCap bounds the in-memory step-report ring (a week of hourly
@@ -362,7 +411,8 @@ func (c *Controller) Step() (StepReport, error) {
 // StepCtx is Step carrying the caller's causal trace: when ctx holds a
 // metrics.TraceContext (the REST API's TraceMiddleware installs one),
 // the cycle's span, journal events, firewall blocks and latency
-// exemplar are all tagged with the trace ID.
+// exemplar are all tagged with the trace ID. Concurrent calls on one
+// controller run one at a time.
 func (c *Controller) StepCtx(ctx context.Context) (StepReport, error) {
 	traceID := metrics.TraceIDFrom(ctx)
 	sp := metrics.StartSpanTrace("controller.step", nil, traceID)
@@ -390,17 +440,14 @@ func (c *Controller) StepCtx(ctx context.Context) (StepReport, error) {
 // step is the uninstrumented planning cycle. traceID tags the cycle's
 // provenance (journal events, firewall blocks), "" when untraced.
 func (c *Controller) step(traceID string) (StepReport, error) {
+	c.stepMu.Lock()
+	defer c.stepMu.Unlock()
 	now := c.clock.Now().UTC().Truncate(time.Hour)
 	hour := now.Hour()
+	sc := &c.scratch
 
 	c.mu.Lock()
-	conv := c.mrt.Convenience()
-	var activeRules []rules.MetaRule
-	for _, r := range conv {
-		if r.ActiveAt(hour) {
-			activeRules = append(activeRules, r)
-		}
-	}
+	activeRules := sc.collectActive(c.mrt.Rules, hour)
 	budget := c.cfg.WeeklyBudget.KWh()/(7*24) + c.carry
 	stepNo := c.steps
 	c.mu.Unlock()
@@ -426,10 +473,12 @@ func (c *Controller) step(traceID string) (StepReport, error) {
 
 	// Necessity rules commit their energy up front; convenience rules
 	// compete for the remainder.
-	var problem core.Problem
-	devs := make([]device.Descriptor, len(activeRules))
-	drops := make([]float64, len(activeRules))
-	planned := make([]int, 0, len(activeRules))
+	sc.devs = resize(sc.devs, len(activeRules))
+	sc.drops = resize(sc.drops, len(activeRules))
+	clear(sc.drops)
+	sc.planned = sc.planned[:0]
+	sc.costs = sc.costs[:0]
+	devs, drops := sc.devs, sc.drops
 	necessityEnergy := 0.0
 	for i, r := range activeRules {
 		dev, err := c.cfg.Residence.RuleDevice(r)
@@ -447,20 +496,23 @@ func (c *Controller) step(traceID string) (StepReport, error) {
 			actual = amb.Light
 		}
 		drops[i] = c.model.Error(r.Action, r.Value, actual)
-		planned = append(planned, i)
-		problem.Costs = append(problem.Costs, core.RuleCost{
+		sc.planned = append(sc.planned, i)
+		sc.costs = append(sc.costs, core.RuleCost{
 			DropError: drops[i],
 			Energy:    dev.EnergyPerSlot(time.Hour).KWh(),
 		})
 	}
-	problem.Budget = max(budget-necessityEnergy, 0)
+	planned := sc.planned
+	problem := core.Problem{Costs: sc.costs, Budget: max(budget-necessityEnergy, 0)}
 
 	// Non-EP modes bypass the planner entirely; finishStep journals
 	// their verdicts since the planner's recorder never fires.
 	switch c.cfg.Mode {
 	case ModeManual:
+		sc.sol = resize(sc.sol, len(activeRules))
+		clear(sc.sol)
 		return c.finishStep(report, activeRules, devs, drops, nil,
-			make(core.Solution, len(activeRules)), core.Eval{Error: sum(drops)}, budget, false,
+			sc.sol, core.Eval{Error: sum(drops)}, budget, false,
 			traceID, stepNo, false)
 	case ModeIFTTT:
 		sol, setpoints, eval := c.iftttPlan(now, activeRules, devs)
@@ -515,11 +567,10 @@ func (c *Controller) step(traceID string) (StepReport, error) {
 	eval.Energy += necessityEnergy
 	// Expand the plan back over all active rules; necessity rules are
 	// always on.
-	sol := make(core.Solution, len(activeRules))
-	for i, r := range activeRules {
-		if r.Necessity {
-			sol[i] = true
-		}
+	sc.sol = resize(sc.sol, len(activeRules))
+	sol := sc.sol
+	for i := range activeRules {
+		sol[i] = activeRules[i].Necessity
 	}
 	for j, i := range planned {
 		sol[i] = planSol[j]
@@ -552,8 +603,12 @@ func (c *Controller) iftttPlan(now time.Time, activeRules []rules.MetaRule, devs
 	}
 	outputs := rules.Outputs(c.cfg.Residence.IFTTT, env)
 
-	sol := make(core.Solution, len(activeRules))
-	setpoints := make([]float64, len(activeRules))
+	sc := &c.scratch
+	sc.sol = resize(sc.sol, len(activeRules))
+	sc.setpoints = resize(sc.setpoints, len(activeRules))
+	clear(sc.sol)
+	clear(sc.setpoints)
+	sol, setpoints := sc.sol, sc.setpoints
 	var eval core.Eval
 	for i, r := range activeRules {
 		set, ok := outputs[r.Action]
@@ -594,7 +649,8 @@ func (c *Controller) finishStep(report StepReport, activeRules []rules.MetaRule,
 	// drops: a block from an earlier cycle whose rule is no longer
 	// active does not outlive it. When one device backs both an executed
 	// and a dropped rule the block wins.
-	var blocks []firewall.BlockRule
+	sc := &c.scratch
+	sc.blocks = sc.blocks[:0]
 	if actuate {
 		c.fw.Replace(nil)
 	}
@@ -610,19 +666,17 @@ func (c *Controller) finishStep(report StepReport, activeRules []rules.MetaRule,
 					firstErr = err
 				}
 			}
-			report.Executed = append(report.Executed, r.ID)
 		} else {
 			if actuate {
 				if err := c.binding.TurnOff(dev); err != nil && firstErr == nil {
 					firstErr = err
 				}
-				blocks = append(blocks, firewall.BlockRule{
+				sc.blocks = append(sc.blocks, firewall.BlockRule{
 					Addr:   dev.Addr,
 					Reason: "meta-rule " + r.ID + " dropped by " + c.cfg.Mode.String(),
 					Trace:  traceID,
 				})
 			}
-			report.Dropped = append(report.Dropped, r.ID)
 			if report.PerRule == nil {
 				report.PerRule = make(map[string]float64)
 			}
@@ -652,10 +706,9 @@ func (c *Controller) finishStep(report StepReport, activeRules []rules.MetaRule,
 		}
 	}
 	if actuate {
-		c.fw.Replace(blocks)
+		c.fw.Replace(sc.blocks)
 	}
-	sort.Strings(report.Executed)
-	sort.Strings(report.Dropped)
+	report.Executed, report.Dropped = splitNames(activeRules, sol)
 	report.Energy = eval.Energy
 	report.Error = eval.Error
 
@@ -672,13 +725,16 @@ func (c *Controller) finishStep(report StepReport, activeRules []rules.MetaRule,
 		}
 		c.ownerActive[r.Owner]++
 	}
-	c.lastStep = &report
 	if len(c.history) < historyCap {
 		c.history = append(c.history, report)
 	} else {
 		c.history[c.historyAt] = report
 		c.historyAt = (c.historyAt + 1) % historyCap
 	}
+	// Only steps write the ring and stepMu is held, so the slot stays
+	// this report until the step ends: the plan publish below marshals
+	// it in place instead of boxing a copy of the report.
+	last := &c.history[c.lastIndexLocked()]
 	c.mu.Unlock()
 
 	// Every active rule lands in exactly one of Executed/Dropped, so
@@ -693,11 +749,48 @@ func (c *Controller) finishStep(report StepReport, activeRules []rules.MetaRule,
 	// Stream the cycle's outcome: the verdict, then the block set it
 	// left installed.
 	if c.cfg.Stream != nil {
-		c.publishStream(stream.KindPlan, report)
+		c.publishStream(stream.KindPlan, last)
 		c.publishStream(stream.KindFirewall, c.fw.Rules())
 	}
 
 	return report, firstErr
+}
+
+// splitNames builds a report's Executed and Dropped lists, each sorted,
+// on one exact-size backing array. The history ring keeps reports, so
+// the array is fresh per report, never step scratch. An empty list
+// stays nil, so the report's JSON is unchanged.
+func splitNames(activeRules []rules.MetaRule, sol core.Solution) (executed, dropped []string) {
+	if len(activeRules) == 0 {
+		return nil, nil
+	}
+	nExec := sol.CountOn()
+	names := make([]string, len(activeRules))
+	e, d := 0, nExec
+	for i := range activeRules {
+		if sol[i] {
+			names[e] = activeRules[i].ID
+			e++
+		} else {
+			names[d] = activeRules[i].ID
+			d++
+		}
+	}
+	if nExec > 0 {
+		executed = names[:nExec:nExec]
+		sort.Strings(executed)
+	}
+	if nExec < len(names) {
+		dropped = names[nExec:]
+		sort.Strings(dropped)
+	}
+	return executed, dropped
+}
+
+// lastIndexLocked is the history slot of the newest report; the ring
+// must be non-empty. Before the ring fills historyAt stays 0.
+func (c *Controller) lastIndexLocked() int {
+	return (c.historyAt + len(c.history) - 1) % len(c.history)
 }
 
 // History returns the most recent step reports, oldest first, up to a
@@ -719,10 +812,10 @@ func (c *Controller) History() []StepReport {
 func (c *Controller) LastStep() (StepReport, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lastStep == nil {
+	if len(c.history) == 0 {
 		return StepReport{}, false
 	}
-	return *c.lastStep, true
+	return c.history[c.lastIndexLocked()], true
 }
 
 // Summary returns the lifetime metrics.

@@ -1,7 +1,11 @@
 package controller
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -304,8 +308,13 @@ func TestHistoryRing(t *testing.T) {
 	}
 	const steps = historyCap + 10 // overflow the ring
 	for i := 0; i < steps; i++ {
-		if _, err := c.Step(); err != nil {
+		report, err := c.Step()
+		if err != nil {
 			t.Fatal(err)
+		}
+		// LastStep is the ring's newest slot, before and after it wraps.
+		if last, ok := c.LastStep(); !ok || !last.Time.Equal(report.Time) {
+			t.Fatalf("step %d: LastStep = %v, %v; want %v", i, last.Time, ok, report.Time)
 		}
 		clock.Advance(time.Hour)
 	}
@@ -322,5 +331,50 @@ func TestHistoryRing(t *testing.T) {
 	last, _ := c.LastStep()
 	if !h[len(h)-1].Time.Equal(last.Time) {
 		t.Errorf("history tail %v != last step %v", h[len(h)-1].Time, last.Time)
+	}
+}
+
+// TestReportsKeepTheirRuleLists: step scratch is reused, but every
+// report's Executed and Dropped lists are its own, so copies taken as
+// each step returned still equal the history after a day of later
+// steps. A list with no rule stays nil, so it encodes as JSON null.
+func TestReportsKeepTheirRuleLists(t *testing.T) {
+	clock := simclock.NewSimClock(time.Date(2015, time.January, 5, 0, 0, 0, 0, time.UTC))
+	c := newController(t, func(cfg *Config) {
+		cfg.Clock = clock
+		cfg.WeeklyBudget = home.PrototypeWeeklyBudget / 4 // some hours drop rules
+	})
+	var returned []StepReport
+	var sawDrop, sawIdle bool
+	for i := 0; i < 24; i++ {
+		report, err := c.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshot := report
+		snapshot.Executed = slices.Clone(report.Executed)
+		snapshot.Dropped = slices.Clone(report.Dropped)
+		returned = append(returned, snapshot)
+		sawDrop = sawDrop || len(report.Dropped) > 0
+		if len(report.Executed)+len(report.Dropped) == 0 {
+			sawIdle = true
+			if report.Executed != nil || report.Dropped != nil {
+				t.Fatalf("idle hour %d: lists %#v, %#v, want nil", i, report.Executed, report.Dropped)
+			}
+		}
+		clock.Advance(time.Hour)
+	}
+	if !sawDrop || !sawIdle {
+		t.Fatalf("day has drop=%v idle=%v; want both", sawDrop, sawIdle)
+	}
+	if h := c.History(); !reflect.DeepEqual(h, returned) {
+		t.Fatalf("history differs from the reports steps returned:\n%+v\n%+v", h, returned)
+	}
+	data, err := json.Marshal(returned[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"executed":null`)) || !bytes.Contains(data, []byte(`"dropped":null`)) {
+		t.Errorf("idle report JSON = %s, want null rule lists", data)
 	}
 }

@@ -3,9 +3,11 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -239,6 +241,68 @@ func TestDaemonFleetCycle(t *testing.T) {
 		if got := len(d.Tenant(id).Controller().History()); got != 3 {
 			t.Errorf("tenant %s steps = %d, want 3", id, got)
 		}
+	}
+}
+
+// TestDaemonConcurrentPlanRunAndFleetCycle steps one tenant from two
+// entry points at once: POST /t/h1/rest/plan/run and Fleet().Cycle.
+// Steps on one controller are serialized, so under -race the planner,
+// the step scratch and the carry ledger see no data race, and every
+// step of both paths lands in the tenant's summary.
+func TestDaemonConcurrentPlanRunAndFleetCycle(t *testing.T) {
+	clock := simclock.NewSimClock(time.Date(2021, time.January, 4, 19, 0, 0, 0, time.UTC))
+	d, err := New(Options{
+		Addr:            "127.0.0.1:0",
+		Tenants:         []TenantSpec{{ID: "h1", Residence: "house", Seed: 1}},
+		WeeklyBudgetKWh: 40,
+		StoreBackend:    "mem",
+		Clock:           clock,
+		Logf:            t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //nolint:errcheck // test cleanup
+	d.Start()
+	url := "http://" + d.APIAddr() + "/t/h1/rest/plan/run"
+
+	const rounds = 40
+	errs := make(chan error, 2*rounds)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			resp, err := http.Post(url, "application/json", strings.NewReader("{}"))
+			if err != nil {
+				errs <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("POST plan/run = %d", resp.StatusCode)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := d.Fleet().Cycle(context.Background()); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	ctrl := d.Tenant("h1").Controller()
+	if got := ctrl.Summary().Steps; got != 2*rounds {
+		t.Errorf("steps = %d, want %d", got, 2*rounds)
+	}
+	if _, ok := ctrl.LastStep(); !ok {
+		t.Error("no last step after concurrent steps")
 	}
 }
 

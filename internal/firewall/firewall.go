@@ -12,7 +12,6 @@
 package firewall
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -155,7 +154,7 @@ func (f *Firewall) Rules() []string {
 	sort.Strings(addrs)
 	out := make([]string, len(addrs))
 	for i, a := range addrs {
-		out[i] = fmt.Sprintf("-A OUTPUT -s %s -j DROP", a)
+		out[i] = "-A OUTPUT -s " + a + " -j DROP"
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 // Package fleet is the sharded scheduler of a multi-home daemon: it
-// fans per-tenant planning cycles over a bounded worker pool, the same
-// semaphore fan-out shape the simulation suite uses (Suite.Parallel),
-// while keeping every observable outcome deterministic. Tenants are
+// runs per-tenant planning cycles on a fixed pool of Workers goroutines
+// that claim tenants through one atomic index, while keeping every
+// observable outcome deterministic. Tenants are
 // held in a slice sorted by ID — never ranged from a map — so dispatch
 // order, error reporting order, and the OnError callback order are all
 // identical run to run regardless of worker count. The planning work
@@ -18,7 +18,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"github.com/imcf/imcf/internal/metrics"
 )
 
 // MemberError is one tenant's cycle failure with the failing tenant ID
@@ -111,7 +114,8 @@ type Options struct {
 // immutable after New; Cycle may be called from one goroutine at a
 // time (the daemon's cron).
 type Scheduler struct {
-	members    []Member // sorted by ID: deterministic dispatch + report order
+	members    []Member         // sorted by ID: deterministic dispatch + report order
+	planGauges []*metrics.Gauge // imcf_fleet_tenant_plan_seconds children, index-aligned with members; nil under NoMetrics
 	workers    int
 	onError    func(id string, err error)
 	observe    func(id string, seconds float64)
@@ -119,8 +123,9 @@ type Scheduler struct {
 	afterCycle func()
 	metrics    bool
 
-	mu   sync.Mutex // serializes Cycle
-	errs []error    // per-member scratch, index-aligned with members
+	mu   sync.Mutex   // serializes Cycle
+	errs []error      // per-member scratch, index-aligned with members
+	next atomic.Int64 // the next member a Cycle's workers claim
 }
 
 // New builds a Scheduler over the given tenants. The member slice is
@@ -157,6 +162,12 @@ func New(members []Member, opts Options) (*Scheduler, error) {
 	}
 	if s.metrics {
 		fleetTenants.Set(float64(len(ms)))
+		// Resolved once: GaugeVec.With takes a family-wide lock and a
+		// map lookup, which every worker would otherwise pay per step.
+		s.planGauges = make([]*metrics.Gauge, len(ms))
+		for i, m := range ms {
+			s.planGauges[i] = tenantPlanSeconds.With(m.ID)
+		}
 	}
 	return s, nil
 }
@@ -182,43 +193,25 @@ func (s *Scheduler) Tenants() []string {
 // failure never stops the others. A canceled context stops dispatching
 // new tenants (already-running Steps see the cancellation through
 // their own ctx) and the skipped tenants report the context error.
+//
+// The calling goroutine is one of the workers, so a one-worker fleet
+// steps its tenants in ID order without starting a goroutine.
 func (s *Scheduler) Cycle(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	//imcf:allow determinism cycle wall time feeds metrics only, never planning results
 	start := time.Now()
-	sem := make(chan struct{}, s.workers)
+	s.next.Store(0)
 	var wg sync.WaitGroup
-	for i := range s.members {
-		if err := ctx.Err(); err != nil {
-			s.errs[i] = fmt.Errorf("fleet: cycle canceled: %w", err)
-			continue
-		}
-		//imcf:allow lockdiscipline s.mu serializes whole cycles by design; sem/wg are owned by this cycle, so no cross-lock wait is possible
-		sem <- struct{}{}
+	for w := 1; w < min(s.workers, len(s.members)); w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			m := &s.members[i]
-			//imcf:allow determinism per-tenant latency feeds metrics/bench observers only
-			tStart := time.Now()
-			err := m.Step(ctx)
-			//imcf:allow determinism per-tenant latency feeds metrics/bench observers only
-			sec := time.Since(tStart).Seconds()
-			if s.metrics {
-				tenantPlanSeconds.With(m.ID).Set(sec)
-			}
-			if s.observe != nil {
-				s.observe(m.ID, sec)
-			}
-			if s.observeRes != nil {
-				s.observeRes(m.ID, sec, err)
-			}
-			s.errs[i] = err
-		}(i)
+			s.work(ctx)
+		}()
 	}
+	s.work(ctx)
 	//imcf:allow lockdiscipline cycle barrier: workers never touch s.mu, so waiting for them while holding it cannot deadlock
 	wg.Wait()
 
@@ -247,4 +240,36 @@ func (s *Scheduler) Cycle(ctx context.Context) error {
 		s.afterCycle()
 	}
 	return errors.Join(failed...)
+}
+
+// work is one worker's loop: it claims members through the shared index
+// until none is left. Each member's error lands in its own slot of
+// s.errs, so the report order never depends on which worker ran it.
+func (s *Scheduler) work(ctx context.Context) {
+	for {
+		i := int(s.next.Add(1) - 1)
+		if i >= len(s.members) {
+			return
+		}
+		if err := ctx.Err(); err != nil {
+			s.errs[i] = fmt.Errorf("fleet: cycle canceled: %w", err)
+			continue
+		}
+		m := &s.members[i]
+		//imcf:allow determinism per-tenant latency feeds metrics/bench observers only
+		tStart := time.Now()
+		err := m.Step(ctx)
+		//imcf:allow determinism per-tenant latency feeds metrics/bench observers only
+		sec := time.Since(tStart).Seconds()
+		if s.planGauges != nil {
+			s.planGauges[i].Set(sec)
+		}
+		if s.observe != nil {
+			s.observe(m.ID, sec)
+		}
+		if s.observeRes != nil {
+			s.observeRes(m.ID, sec, err)
+		}
+		s.errs[i] = err
+	}
 }

@@ -308,4 +308,10 @@ func TestCycleMetricsRecorded(t *testing.T) {
 	if got := tenantErrors.With("mh2").Value(); got != 1 {
 		t.Errorf("tenantErrors{mh2} = %d, want 1", got)
 	}
+	// The plan-latency gauges were resolved once, in member order.
+	for i, id := range s.Tenants() {
+		if s.planGauges[i] != tenantPlanSeconds.With(id) {
+			t.Errorf("plan gauge %d is not tenant %s's child", i, id)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -135,12 +136,14 @@ func (m *Mirror) Canonical() []byte {
 
 // Set installs a component value directly — the poll-built
 // construction path (fallback mode and the equivalence harness). The
-// value is compacted to the same canonical bytes Publish would store.
+// value is compacted to the same canonical bytes Publish would store;
+// like Publish, Set keeps data itself when it is already compact.
 func (m *Mirror) Set(site string, kind Kind, data []byte) error {
 	var compact []byte
 	if data != nil {
+		var buf bytes.Buffer
 		var err error
-		if compact, err = compactJSON(data); err != nil {
+		if compact, err = compactJSON(&buf, data); err != nil {
 			return fmt.Errorf("stream: set %s: %w", componentKey(site, kind), err)
 		}
 	}

@@ -120,6 +120,12 @@ const DefaultRingCap = 256
 
 // Hub is the producer side of the stream. It is safe for concurrent
 // use. The zero value is not usable; construct with NewHub.
+//
+// A publish with nobody parked in Wait allocates no wake-up channel:
+// the first Wait to park makes one, and the next publish (or Close)
+// closes it and leaves none behind. Publish keeps the caller's slice
+// when it is already compact JSON, so a caller must not modify data it
+// has published.
 type Hub struct {
 	mu       sync.Mutex
 	instance string
@@ -129,9 +135,13 @@ type Hub struct {
 	ring     []Event           // circular, oldest at start
 	start    int
 	count    int
-	notify   chan struct{} // closed on every publish, then replaced
+	notify   chan struct{} // made by a parking Wait, closed by the next publish; nil when nobody waits
 	closed   bool
 }
+
+// compactBufs recycles Publish's compaction scratch across every hub, so
+// a hub holds no buffer of its own between publishes.
+var compactBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // NewHub returns a hub. instance tokens one producer lifetime (restarts
 // must mint a new one); ringCap bounds the delta ring (<= 0 means
@@ -145,7 +155,6 @@ func NewHub(instance string, ringCap int) *Hub {
 		state:    make(map[string]json.RawMessage),
 		compSeq:  make(map[string]uint64),
 		ring:     make([]Event, 0, ringCap),
-		notify:   make(chan struct{}),
 	}
 }
 
@@ -155,22 +164,34 @@ func (h *Hub) Instance() string { return h.instance }
 // Publish installs data as the new value of (site, kind), stamps it
 // with the next sequence number and wakes waiters. The data is
 // compacted so published bytes are canonical regardless of the
-// producer's encoder. Invalid JSON is rejected.
+// producer's encoder. Invalid JSON is rejected. Data that is already
+// compact (json.Marshal output, say) is stored as is, without a copy;
+// the caller must not modify it afterwards.
 func (h *Hub) Publish(site string, kind Kind, data []byte) (uint64, error) {
-	compact, err := compactJSON(data)
+	buf := compactBufs.Get().(*bytes.Buffer)
+	compact, err := compactJSON(buf, data)
+	if err == nil && len(compact) != len(data) {
+		compact = bytes.Clone(compact) // buf goes back to the pool
+	}
+	compactBufs.Put(buf)
 	if err != nil {
 		return 0, fmt.Errorf("stream: publish %s: %w", componentKey(site, kind), err)
 	}
 	return h.install(Event{Kind: kind, Site: site, Data: compact}), nil
 }
 
-// compactJSON validates and canonicalizes an encoded value: whatever
-// encoder produced it, the stored bytes are whitespace-free, so
-// snapshot-built, delta-built and poll-built mirrors compare equal.
-func compactJSON(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, data); err != nil {
+// compactJSON validates and canonicalizes an encoded value through buf,
+// which it resets: whatever encoder produced the value, the result is
+// whitespace-free, so snapshot-built, delta-built and poll-built
+// mirrors compare equal. Compaction only deletes bytes, so the result
+// is data itself when the lengths match and buf's bytes otherwise.
+func compactJSON(buf *bytes.Buffer, data []byte) ([]byte, error) {
+	buf.Reset()
+	if err := json.Compact(buf, data); err != nil {
 		return nil, err
+	}
+	if buf.Len() == len(data) {
+		return data, nil
 	}
 	return buf.Bytes(), nil
 }
@@ -225,9 +246,11 @@ func (h *Hub) install(ev Event) uint64 {
 		h.start = (h.start + 1) % cap(h.ring)
 	}
 	ch := h.notify
-	h.notify = make(chan struct{})
+	h.notify = nil
 	h.mu.Unlock()
-	close(ch)
+	if ch != nil {
+		close(ch)
+	}
 	return ev.Seq
 }
 
@@ -309,6 +332,9 @@ func (h *Hub) Wait(ctx context.Context, seq uint64) bool {
 			h.mu.Unlock()
 			return false
 		}
+		if h.notify == nil {
+			h.notify = make(chan struct{})
+		}
 		ch := h.notify
 		h.mu.Unlock()
 		select {
@@ -331,7 +357,9 @@ func (h *Hub) Close() {
 	}
 	h.closed = true
 	ch := h.notify
-	h.notify = make(chan struct{})
+	h.notify = nil
 	h.mu.Unlock()
-	close(ch)
+	if ch != nil {
+		close(ch)
+	}
 }

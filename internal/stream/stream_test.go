@@ -71,6 +71,35 @@ func TestPublishCanonicalizesWhitespace(t *testing.T) {
 	}
 }
 
+// TestPublishKeepsCompactData: already-compact data is stored without a
+// copy, while compacted data is copied out of the shared scratch, so a
+// later publish cannot overwrite an earlier value.
+func TestPublishKeepsCompactData(t *testing.T) {
+	h := NewHub("i", 4)
+	compact := []byte(`{"a":1}`)
+	if _, err := h.Publish("", KindPlan, compact); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Snapshot().State["plan"]; &got[0] != &compact[0] {
+		t.Fatal("compact data was copied")
+	}
+	loose := []byte("{ \"a\": 2 }")
+	if _, err := h.Publish("", KindPlan, loose); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Publish("", KindMRT, []byte("[ 1, 2 ]")); err != nil {
+		t.Fatal(err)
+	}
+	loose[3] = 'X'
+	snap := h.Snapshot()
+	if got := string(snap.State["plan"]); got != `{"a":2}` {
+		t.Fatalf("plan = %q after a later publish", got)
+	}
+	if got := string(snap.State["mrt"]); got != `[1,2]` {
+		t.Fatalf("mrt = %q", got)
+	}
+}
+
 func TestSinceResumesAndCoalesces(t *testing.T) {
 	h := NewHub("i", 16)
 	mustPublish(t, h, "", KindMRT, 1)
@@ -177,6 +206,38 @@ func TestWaitWakesOnPublish(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("publish did not wake the waiter")
+	}
+}
+
+// TestNotifyChannelOnlyWhileParked: a publish with nobody waiting makes
+// no wake-up channel; a parked Wait makes one, and the publish that
+// wakes it leaves none behind.
+func TestNotifyChannelOnlyWhileParked(t *testing.T) {
+	h := NewHub("i", 4)
+	notify := func() chan struct{} {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.notify
+	}
+	mustPublish(t, h, "", KindMRT, 1)
+	if notify() != nil {
+		t.Fatal("publish without waiters made a wake-up channel")
+	}
+	done := make(chan bool, 1)
+	go func() { done <- h.Wait(context.Background(), 1) }()
+	deadline := time.Now().Add(2 * time.Second)
+	for notify() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("parked Wait made no wake-up channel")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mustPublish(t, h, "", KindPlan, 2)
+	if ok := <-done; !ok {
+		t.Fatal("woken waiter reported no events")
+	}
+	if notify() != nil {
+		t.Fatal("publish left a wake-up channel behind")
 	}
 }
 

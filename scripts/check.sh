@@ -45,11 +45,13 @@ echo ">> imcf-lint ./..."
 go run ./cmd/imcf-lint ./...
 
 # Tracing-overhead gate: the disabled tracing/journaling paths must
-# stay allocation-free (testing.AllocsPerRun == 0). Run outside -race
-# (the detector's instrumentation allocates and would mask regressions).
-echo ">> go test -run AllocsTrace ./internal/metrics ./internal/journal"
-check_gate AllocsTrace ./internal/metrics ./internal/journal
-go test -run AllocsTrace -count=1 ./internal/metrics ./internal/journal
+# stay allocation-free (testing.AllocsPerRun == 0), and a warm
+# controller step must stay within its step-scratch budget (see
+# internal/controller/alloc_test.go). Run outside -race (the detector's
+# instrumentation allocates and would mask regressions).
+echo ">> go test -run AllocsTrace ./internal/metrics ./internal/journal ./internal/controller"
+check_gate AllocsTrace ./internal/metrics ./internal/journal ./internal/controller
+go test -run AllocsTrace -count=1 ./internal/metrics ./internal/journal ./internal/controller
 
 # Store append-path allocation gate: one Put must stay within its small
 # pooled-scratch budget (see internal/store/alloc_test.go). Also
