@@ -9,12 +9,16 @@
 //	      [-store DIR] [-interval 1h] [-weekly-budget 165] [-emulate] [-seed 42]
 //	      [-tenants h1,h2,...] [-fleet-workers 8]
 //
-// With -tenants, one daemon hosts a fleet: each comma-separated home ID
-// becomes a tenant with its own controller, store namespace, and
-// decision journal, served under /t/<id>/rest/... (legacy un-prefixed
-// routes alias the first tenant). Per-home trace seeds derive from
-// -seed plus the tenant's position. -fleet-workers bounds how many
-// homes plan concurrently per cron cycle.
+// Every home is a tenant with its own controller, decision journal and
+// health, served under /t/<id>/rest/...; the un-prefixed routes and
+// /healthz serve the first one. Without -tenants the daemon hosts one
+// home, ID "home", on the single-home on-disk layout (un-prefixed store
+// keys, decision log directly under -persist). With -tenants, each
+// comma-separated home ID becomes a tenant with its own store namespace
+// and persist subdirectory; per-home trace seeds derive from -seed plus
+// the tenant's position. Either way the cron job plans every home
+// through the fleet scheduler; -fleet-workers bounds how many homes
+// plan concurrently per cycle.
 //
 // Each tenant also serves the delta-sync decision stream (DESIGN.md
 // §16) at /rest/stream/snapshot and /rest/stream; -stream-ring sizes

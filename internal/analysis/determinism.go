@@ -27,7 +27,7 @@ var determinismExcluded = map[string]string{
 	"internal/store":       "durability engine: fsync-latency metrics sample the wall clock",
 	"internal/persistence": "recording service: segment names and sync cadences are wall-time-based",
 	"internal/daemon":      "serving process: cron scheduling and uptime reporting read real time",
-	"internal/controller":  "serving path: cron/poller cadence is wall-time-driven",
+	"internal/controller":  "serving path: cron cadence is wall-time-driven",
 	"internal/cloud":       "relay: request timing and backoff are wall-time-driven",
 	"internal/client":      "SDK: retry backoff jitter is wall-time-driven",
 	"internal/devicesim":   "device emulators: simulate real hardware latencies",

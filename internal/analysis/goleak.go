@@ -8,7 +8,7 @@ import (
 
 // goLeakPackages are the long-lived serving processes where an
 // unjoined goroutine outlives its owner: the daemon, the fleet
-// scheduler and the controller's cron/poller machinery.
+// scheduler and the controller's cron.
 var goLeakPackages = []string{
 	"internal/daemon",
 	"internal/fleet",

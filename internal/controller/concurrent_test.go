@@ -1,22 +1,18 @@
 package controller
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/imcf/imcf/internal/simclock"
-	"github.com/imcf/imcf/internal/trace"
 )
 
-// Concurrent multi-tenant stepping: a multi-home daemon hangs N
-// controllers off one Cron on one shared SimClock, and N adaptive
-// pollers off the same clock. These tests (run under -race by
-// scripts/check.sh) pin the concurrency contract of cron.go and
-// poller.go in that regime: lockstep fan-out on Advance, per-tenant
-// stop isolation, idempotent shutdown, and data-race freedom of the
-// read-only poller paths.
+// Concurrent multi-tenant stepping: N controllers stepped by jobs on
+// one Cron over one shared SimClock. These tests (run under -race by
+// scripts/check.sh) pin the concurrency contract of cron.go in that
+// regime: lockstep fan-out on Advance, per-job stop isolation and
+// idempotent shutdown.
 
 // waitPendingWaiters blocks until the clock has exactly want armed
 // After channels — the signal that every fired job has finished and
@@ -32,11 +28,10 @@ func waitPendingWaiters(t *testing.T, clk *simclock.SimClock, want int) {
 	}
 }
 
-// TestCronConcurrentMultiTenantStepping drives four controllers off
-// one Cron and one SimClock — the multi-tenant daemon's shape — and
-// asserts every tenant steps exactly once per cycle, that stopping one
-// tenant's schedule leaves the others running, and that Stop is
-// idempotent and final.
+// TestCronConcurrentMultiTenantStepping drives four controllers, one
+// Cron job each, off one Cron and one SimClock, and asserts every
+// tenant steps exactly once per cycle, that stopping one tenant's job
+// leaves the others running, and that Stop is idempotent and final.
 func TestCronConcurrentMultiTenantStepping(t *testing.T) {
 	const tenants = 4
 	clk := simclock.NewSimClock(winterNight)
@@ -51,7 +46,11 @@ func TestCronConcurrentMultiTenantStepping(t *testing.T) {
 			cfg.Clock = clk
 			cfg.Planner.Seed = uint64(100 + i)
 		})
-		stops[i] = ctrls[i].Schedule(cron, time.Hour, func(error) { errCount.Add(1) })
+		stops[i] = cron.Every(time.Hour, func(time.Time) {
+			if _, err := ctrls[i].Step(); err != nil {
+				errCount.Add(1)
+			}
+		})
 	}
 	waitPendingWaiters(t, clk, tenants)
 
@@ -117,96 +116,4 @@ func TestCronNilClockIsWallClock(t *testing.T) {
 	stop := cron.Every(time.Hour, func(time.Time) {})
 	stop()
 	cron.Stop()
-}
-
-// TestPollerConcurrentMultiTenantPolling runs one adaptive poller per
-// tenant against a shared SimClock: a tenant sitting on its trigger
-// threshold polls every Min while a far-away tenant polls every Max,
-// and the schedules interleave without cross-talk or data races.
-func TestPollerConcurrentMultiTenantPolling(t *testing.T) {
-	const (
-		minIvl = time.Minute
-		maxIvl = 4 * time.Minute
-	)
-	clk := simclock.NewSimClock(winterNight)
-
-	// Tenant 0 and 1 sit exactly on a threshold (interval Min); tenant
-	// 2 and 3 are at least one scale away (interval Max).
-	temps := []float64{10, 10, 40, 40}
-	pollers := make([]*Poller, len(temps))
-	counts := make([]atomic.Int64, len(temps))
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, temp := range temps {
-		i := i
-		pollers[i] = &Poller{
-			Source:     fixedAmbient{trace.Ambient{Temperature: temp, Light: 50}},
-			Thresholds: []Threshold{{Temp: true, Value: 10}},
-			Min:        minIvl,
-			Max:        maxIvl,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := pollers[i].Run(clk, func(time.Time, trace.Ambient) {
-				counts[i].Add(1)
-			}, stop); err != nil {
-				t.Errorf("tenant %d: Run: %v", i, err)
-			}
-		}()
-	}
-	// Run observes immediately, then arms its first waiter.
-	waitPendingWaiters(t, clk, len(temps))
-
-	const steps = 8 // 8 × Min = 2 × Max
-	for s := 0; s < steps; s++ {
-		clk.Advance(minIvl)
-		waitPendingWaiters(t, clk, len(temps))
-	}
-	for i := range temps {
-		want := int64(1 + steps) // on-threshold: every Min
-		if temps[i] > 10 {
-			want = 1 + steps/4 // far away: every Max
-		}
-		if got := counts[i].Load(); got != want {
-			t.Errorf("tenant %d observed %d readings, want %d", i, got, want)
-		}
-	}
-
-	close(stop)
-	wg.Wait()
-
-	// An invalid poller must refuse to run, not spin.
-	bad := &Poller{Min: time.Second, Max: time.Minute}
-	if err := bad.Run(clk, func(time.Time, trace.Ambient) {}, stop); err == nil {
-		t.Error("invalid poller ran")
-	}
-}
-
-// TestPollerNextIntervalConcurrentReads hammers one shared Poller from
-// many tenants' goroutines: NextInterval is a read-only path and must
-// be race-free without external locking.
-func TestPollerNextIntervalConcurrentReads(t *testing.T) {
-	p := &Poller{
-		Source:     fixedAmbient{trace.Ambient{Temperature: 12, Light: 30}},
-		Thresholds: []Threshold{{Temp: true, Value: 10}, {Temp: false, Value: 15}},
-		Min:        time.Second,
-		Max:        time.Minute,
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			at := winterNight
-			for i := 0; i < 200; i++ {
-				if _, _, err := p.NextInterval(at); err != nil {
-					t.Errorf("NextInterval: %v", err)
-					return
-				}
-				at = at.Add(time.Minute)
-			}
-		}()
-	}
-	wg.Wait()
 }

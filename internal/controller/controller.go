@@ -849,13 +849,3 @@ func (c *Controller) Command(deviceID string, value float64) error {
 	}
 	return c.binding.Apply(dev, value)
 }
-
-// Schedule runs Step every interval on the cron scheduler and returns
-// the stop function.
-func (c *Controller) Schedule(cron *Cron, interval time.Duration, onErr func(error)) (stop func()) {
-	return cron.Every(interval, func(time.Time) {
-		if _, err := c.Step(); err != nil && onErr != nil {
-			onErr(err)
-		}
-	})
-}

@@ -74,29 +74,3 @@ func TestStepSurvivesBindingFailures(t *testing.T) {
 		t.Errorf("executed %d > active %d", sum.ExecutedRuleSlots, sum.ActiveRuleSlots)
 	}
 }
-
-func TestScheduleReportsBindingFailures(t *testing.T) {
-	flaky := &flakyBinding{n: 1} // always fails
-	clock := simclock.NewSimClock(winterNight)
-	c := newController(t, func(cfg *Config) {
-		cfg.Clock = clock
-		cfg.Binding = flaky
-	})
-	cron := NewCron(clock)
-	defer cron.Stop()
-
-	errs := make(chan error, 4)
-	stop := c.Schedule(cron, time.Hour, func(err error) { errs <- err })
-	defer stop()
-
-	waitForWaiter(t, clock)
-	clock.Advance(time.Hour)
-	select {
-	case err := <-errs:
-		if err == nil {
-			t.Fatal("nil error reported")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("error callback never fired")
-	}
-}

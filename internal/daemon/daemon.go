@@ -3,9 +3,11 @@
 // optional durable store and measurement persistence (namespaced per
 // tenant), optional HTTP device emulators, the fleet scheduler fanning
 // cron-driven Energy Planner cycles over a bounded worker pool, the
-// openHAB-style REST API (tenant-scoped under /t/{home}/, with legacy
-// single-home routes aliased to the default tenant), and the
-// observability endpoints (/metrics, /healthz, /debug/spans).
+// openHAB-style REST API (tenant-scoped under /t/{home}/, with the
+// un-prefixed routes aliased to the default tenant), and the
+// observability endpoints (/metrics, /healthz, /debug/spans). A
+// single-home daemon is a fleet of one: the same tenant and the same
+// scheduler, differing only in its on-disk layout (see New).
 //
 // It is the testable core of cmd/imcfd: tests boot a Daemon on
 // ephemeral ports (":0"), drive it over real HTTP, and inspect the
@@ -53,11 +55,10 @@ type Options struct {
 	// Seed parameterizes the residence's ambient traces.
 	Seed uint64
 	// Tenants declares the homes a multi-tenant daemon hosts; empty
-	// means one single-home tenant built from the legacy fields above
-	// (ID DefaultTenantID, no store prefix, legacy directory layout).
-	// The first spec is the default tenant serving the legacy
-	// un-prefixed routes; every tenant is also served under
-	// /t/<ID>/....
+	// means one tenant built from the fields above (ID DefaultTenantID,
+	// no store prefix, PersistDir itself as its directory). The first
+	// spec is the default tenant, which also serves the un-prefixed
+	// routes and /healthz; every tenant is served under /t/<ID>/....
 	Tenants []TenantSpec
 	// FleetWorkers bounds how many tenants plan concurrently per fleet
 	// cycle; <= 0 means 1 (sequential, the bit-identical reference
@@ -131,14 +132,7 @@ type Options struct {
 type Daemon struct {
 	tenants []*Tenant          // sorted by ID — deterministic iteration
 	byID    map[string]*Tenant // routing lookup
-	def     *Tenant            // serves the legacy un-prefixed routes
-	defID   string
-	multi   bool
-
-	ctrl    *controller.Controller // default tenant's, for legacy access
-	health  *metrics.Health        // default tenant's, wired to /healthz
-	journal *journal.Journal       // default tenant's
-	store   store.Adapter          // shared parent, or default tenant's
+	def     *Tenant            // serves the un-prefixed routes and /healthz
 	sched   *fleet.Scheduler
 	logf    func(string, ...any)
 	clock   simclock.Clock
@@ -181,19 +175,13 @@ func New(opts Options) (_ *Daemon, err error) {
 		}
 	}()
 
-	backend := opts.StoreBackend
-	if backend == "" {
-		backend = "wal"
-	}
-	switch backend {
-	case "wal", "mem":
-	default:
-		return nil, fmt.Errorf("daemon: unknown store backend %q", opts.StoreBackend)
-	}
-
-	d.multi = len(opts.Tenants) > 0
+	// A daemon built without Tenants hosts one home and keeps the
+	// single-home on-disk layout: un-prefixed store keys and PersistDir
+	// itself. Otherwise each tenant's keys live under "t/<id>/" and its
+	// files under PersistDir/tenants/<id>.
+	flat := len(opts.Tenants) == 0
 	specs := opts.Tenants
-	if !d.multi {
+	if flat {
 		specs = []TenantSpec{{
 			ID:              DefaultTenantID,
 			Residence:       opts.Residence,
@@ -211,7 +199,6 @@ func New(opts Options) (_ *Daemon, err error) {
 		}
 		d.byID[spec.ID] = nil // reserved; filled after construction
 	}
-	d.defID = specs[0].ID
 
 	// The physical store opens once and is shared by every tenant
 	// through a key-prefix namespace.
@@ -221,15 +208,19 @@ func New(opts Options) (_ *Daemon, err error) {
 	}
 	if parent != nil {
 		d.closers = append(d.closers, parent.Close)
-		d.store = parent
 	}
 
 	for _, spec := range specs {
-		view := parent // single-home: unprefixed, the historical layout
-		if parent != nil && d.multi {
-			view = store.Namespace(parent, tenantStorePrefix(spec.ID))
+		view, dir := parent, opts.PersistDir
+		if !flat {
+			if parent != nil {
+				view = store.Namespace(parent, tenantStorePrefix(spec.ID))
+			}
+			if dir != "" {
+				dir = tenantDir(dir, spec.ID)
+			}
 		}
-		t, err := d.newTenant(opts, spec, d.multi, view)
+		t, err := d.newTenant(opts, spec, view, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -243,10 +234,7 @@ func New(opts Options) (_ *Daemon, err error) {
 			d.tenants[j-1], d.tenants[j] = d.tenants[j], d.tenants[j-1]
 		}
 	}
-	d.def = d.byID[d.defID]
-	d.ctrl = d.def.ctrl
-	d.health = d.def.health
-	d.journal = d.def.journal
+	d.def = d.byID[specs[0].ID]
 
 	if opts.DiagnosticsDir != "" {
 		if d.recorder, err = d.newRecorder(opts); err != nil {
@@ -300,7 +288,7 @@ func New(opts Options) (_ *Daemon, err error) {
 	}
 	apiMux := http.NewServeMux()
 	apiMux.HandleFunc("/t/{home}/", d.tenantAPI)
-	apiMux.Handle("/", d.def.api) // legacy single-home routes → default tenant
+	apiMux.Handle("/", d.def.api) // un-prefixed routes → default tenant
 	d.apiSrv = newHTTPServer(apiMux)
 	if opts.MetricsAddr != "" {
 		d.metricsLn, err = net.Listen("tcp", opts.MetricsAddr)
@@ -309,11 +297,11 @@ func New(opts Options) (_ *Daemon, err error) {
 		}
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", metrics.Handler())
-		mux.Handle("GET /healthz", d.health.HandlerDetail(d.healthDetail))
+		mux.Handle("GET /healthz", d.def.health.HandlerDetail(d.healthDetail))
 		mux.Handle("GET /debug/spans", metrics.DefaultTracer().Handler())
 		mux.Handle("GET /debug/exemplars", metrics.ExemplarHandler())
 		mux.Handle("GET /debug/logs", obs.LogsHandler(obs.DefaultHandler().Ring()))
-		if d.journal != nil {
+		if opts.JournalCap >= 0 {
 			mux.HandleFunc("GET /debug/decisions", d.decisionsHandler)
 			mux.HandleFunc("GET /debug/trace/{id}", d.traceHandler)
 		}
@@ -431,16 +419,6 @@ func (d *Daemon) traceHandler(w http.ResponseWriter, r *http.Request) {
 		"decisions": decisions,
 	})
 }
-
-// Controller exposes the default tenant's Local Controller.
-func (d *Daemon) Controller() *controller.Controller { return d.ctrl }
-
-// Journal exposes the default tenant's decision-provenance journal, or
-// nil when journaling is disabled (Options.JournalCap < 0).
-func (d *Daemon) Journal() *journal.Journal { return d.journal }
-
-// Health exposes the default tenant's health state (wired to /healthz).
-func (d *Daemon) Health() *metrics.Health { return d.health }
 
 // Tenant returns the named tenant, or nil if unknown.
 func (d *Daemon) Tenant(id string) *Tenant {
@@ -583,9 +561,12 @@ func (d *Daemon) Close() error {
 			firstErr = err
 		}
 	}
+	// The degraded gauges are process-global: zero them for every tenant
+	// closed while degraded, or they keep reporting a home that no
+	// longer exists.
 	for _, t := range d.tenants {
 		if t.Degraded() {
-			t.clearDegradedGauges()
+			tenantDegradedGauge.With(t.id).Set(0)
 		}
 	}
 	return firstErr

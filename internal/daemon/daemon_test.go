@@ -89,8 +89,8 @@ func TestDaemonE2E(t *testing.T) {
 	if fams["imcf_planner_window_seconds_count"] == 0 {
 		t.Fatal("imcf_planner_window_seconds histogram recorded nothing")
 	}
-	if fams["imcf_healthy"] != 1 {
-		t.Fatalf("imcf_healthy = %v, want 1", fams["imcf_healthy"])
+	if got := fams[`imcf_tenant_healthy{tenant="home"}`]; got != 1 {
+		t.Fatalf("imcf_tenant_healthy{home} = %v, want 1", got)
 	}
 
 	// A failing binding turns the next cycle into a step error and the
@@ -103,8 +103,8 @@ func TestDaemonE2E(t *testing.T) {
 	if code := getStatus(t, obs+"/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz after failure = %d, want 503", code)
 	}
-	if got := scrapeMetrics(t, obs+"/metrics")["imcf_healthy"]; got != 0 {
-		t.Fatalf("imcf_healthy after failure = %v, want 0", got)
+	if got := scrapeMetrics(t, obs+"/metrics")[`imcf_tenant_healthy{tenant="home"}`]; got != 0 {
+		t.Fatalf("imcf_tenant_healthy{home} after failure = %v, want 0", got)
 	}
 
 	binding.fail.Store(false)
@@ -188,16 +188,16 @@ func TestDaemonStoreBackends(t *testing.T) {
 			}
 			defer d.Close() //nolint:errcheck
 			if tc.name == "disabled" {
-				if d.store != nil {
+				if d.def.store != nil {
 					t.Fatal("store wired without a directory")
 				}
 				return
 			}
-			if d.store == nil {
+			if d.def.store == nil {
 				t.Fatal("store not wired")
 			}
 			// The controller persists the MRT on construction.
-			if _, ok := d.store.Get("imcf/mrt"); !ok {
+			if _, ok := d.def.store.Get("imcf/mrt"); !ok {
 				t.Error("MRT not persisted through the backend")
 			}
 		})

@@ -10,9 +10,9 @@
 // Degraded mode is tenant-scoped: a tenant degrades when its own
 // mutation fails and its probe confirms the fault, and heals on its own
 // next mutation. Every tenant routes through one shared log, so a
-// failing disk reaches each tenant as soon as it next writes. The
-// default tenant also drives the legacy daemon-level gauges, keeping
-// single-home dashboards unchanged.
+// failing disk reaches each tenant as soon as it next writes. Every
+// tenant, the default one included, reports through the
+// imcf_tenant_degraded* families.
 package daemon
 
 import (
@@ -27,13 +27,6 @@ import (
 )
 
 var (
-	degradedGauge = metrics.NewGauge("imcf_daemon_degraded",
-		"1 while the default tenant is in read-only degraded mode (disk full or failing), else 0.")
-	degradedEntries = metrics.NewCounter("imcf_daemon_degraded_entries_total",
-		"Times the default tenant entered read-only degraded mode.")
-	degradedRejects = metrics.NewCounter("imcf_daemon_degraded_rejected_total",
-		"Mutating requests rejected with 503 while the default tenant was degraded.")
-
 	tenantDegradedGauge = metrics.NewGaugeVec("imcf_tenant_degraded",
 		"1 while the tenant is in read-only degraded mode, else 0.", "tenant")
 	tenantDegradedEntries = metrics.NewCounterVec("imcf_tenant_degraded_entries_total",
@@ -54,10 +47,6 @@ func (t *Tenant) Degraded() bool {
 	return degraded
 }
 
-// Degraded reports whether the default tenant is in read-only degraded
-// mode — the single-home daemon's historical surface.
-func (d *Daemon) Degraded() bool { return d.def.Degraded() }
-
 // enterDegraded flips the tenant into read-only degraded mode. trace,
 // when known (the middleware path has the triggering request's
 // traceparent; the fleet path does not), correlates the structured log
@@ -70,10 +59,6 @@ func (t *Tenant) enterDegraded(err error, trace string) {
 	t.health.SetDegraded(err.Error())
 	tenantDegradedGauge.With(t.id).Set(1)
 	tenantDegradedEntries.With(t.id).Inc()
-	if t.isDefault {
-		degradedGauge.Set(1)
-		degradedEntries.Inc()
-	}
 	obs.L().LogAttrs(context.Background(), slog.LevelError,
 		"tenant entering read-only degraded mode",
 		slog.String("tenant", t.id),
@@ -90,19 +75,8 @@ func (t *Tenant) exitDegraded() {
 		return
 	}
 	t.health.ClearDegraded()
-	t.clearDegradedGauges()
-	t.logf("daemon: tenant %s disk recovered, leaving degraded mode", t.id)
-}
-
-// clearDegradedGauges zeroes the tenant's degraded gauges. They are
-// process-global, so the daemon also clears them when it closes a
-// degraded tenant: otherwise they keep reporting a home that no longer
-// exists.
-func (t *Tenant) clearDegradedGauges() {
 	tenantDegradedGauge.With(t.id).Set(0)
-	if t.isDefault {
-		degradedGauge.Set(0)
-	}
+	t.logf("daemon: tenant %s disk recovered, leaving degraded mode", t.id)
 }
 
 // noteError classifies an error from the tenant's serving or planning
@@ -185,9 +159,6 @@ func (t *Tenant) degradeMiddleware(next http.Handler) http.Handler {
 		mutation := r.Method != http.MethodGet && r.Method != http.MethodHead
 		if mutation && t.Degraded() && !t.probeRecovery() {
 			tenantDegradedRejects.With(t.id).Inc()
-			if t.isDefault {
-				degradedRejects.Inc()
-			}
 			_, reason := t.health.Degraded()
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Retry-After", degradedRetryAfter)

@@ -75,14 +75,15 @@ func TestDaemonDegradedMode(t *testing.T) {
 	// table was accepted but could not be persisted) and the follow-up
 	// probe flips the daemon into degraded mode. The counters are
 	// process-global, so they are read as deltas from here.
-	entries0, rejects0 := float64(degradedEntries.Value()), float64(degradedRejects.Value())
+	entries0 := float64(tenantDegradedEntries.With(DefaultTenantID).Value())
+	rejects0 := float64(tenantDegradedRejects.With(DefaultTenantID).Value())
 	diskFull.Store(true)
 	if resp := postMRT(); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("disk-full POST /rest/mrt = %d, want 500", drainStatus(resp))
 	} else {
 		resp.Body.Close()
 	}
-	if !d.Degraded() {
+	if !d.def.Degraded() {
 		t.Fatal("daemon not degraded after a persist failure and failing probe")
 	}
 
@@ -130,13 +131,13 @@ func TestDaemonDegradedMode(t *testing.T) {
 
 	// The degradation is visible on /metrics.
 	fams := scrapeMetrics(t, obs+"/metrics")
-	if fams["imcf_daemon_degraded"] != 1 {
-		t.Fatalf("imcf_daemon_degraded = %v, want 1", fams["imcf_daemon_degraded"])
+	if got := fams[`imcf_tenant_degraded{tenant="home"}`]; got != 1 {
+		t.Fatalf("imcf_tenant_degraded{home} = %v, want 1", got)
 	}
-	if got := fams["imcf_daemon_degraded_entries_total"] - entries0; got != 1 {
+	if got := fams[`imcf_tenant_degraded_entries_total{tenant="home"}`] - entries0; got != 1 {
 		t.Fatalf("degraded entries rose by %v, want 1", got)
 	}
-	if got := fams["imcf_daemon_degraded_rejected_total"] - rejects0; got < 1 {
+	if got := fams[`imcf_tenant_degraded_rejected_total{tenant="home"}`] - rejects0; got < 1 {
 		t.Fatalf("degraded rejects rose by %v, want >= 1", got)
 	}
 
@@ -148,14 +149,14 @@ func TestDaemonDegradedMode(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if d.Degraded() {
+	if d.def.Degraded() {
 		t.Fatal("daemon still degraded after the disk recovered")
 	}
 	if code := getStatus(t, obs+"/healthz"); code != http.StatusOK {
 		t.Fatalf("post-recovery /healthz = %d, want 200", code)
 	}
-	if fams := scrapeMetrics(t, obs+"/metrics"); fams["imcf_daemon_degraded"] != 0 {
-		t.Fatalf("imcf_daemon_degraded = %v after recovery, want 0", fams["imcf_daemon_degraded"])
+	if got := scrapeMetrics(t, obs+"/metrics")[`imcf_tenant_degraded{tenant="home"}`]; got != 0 {
+		t.Fatalf("imcf_tenant_degraded{home} = %v after recovery, want 0", got)
 	}
 }
 
@@ -245,14 +246,11 @@ func TestDaemonCloseClearsDegradedGauges(t *testing.T) {
 			t.Fatalf("tenant %s not degraded after a failed persist", id)
 		}
 	}
-	if degradedGauge.Value() != 1 || tenantDegradedGauge.With("gauge-h2").Value() != 1 {
+	if tenantDegradedGauge.With("gauge-h1").Value() != 1 || tenantDegradedGauge.With("gauge-h2").Value() != 1 {
 		t.Fatal("degraded gauges not set before Close")
 	}
 
 	d.Close() //nolint:errcheck // the store cannot flush to the full disk
-	if got := degradedGauge.Value(); got != 0 {
-		t.Errorf("imcf_daemon_degraded = %v after Close, want 0", got)
-	}
 	for _, id := range []string{"gauge-h1", "gauge-h2"} {
 		if got := tenantDegradedGauge.With(id).Value(); got != 0 {
 			t.Errorf("imcf_tenant_degraded{tenant=%q} = %v after Close, want 0", id, got)

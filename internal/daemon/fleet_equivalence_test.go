@@ -141,7 +141,7 @@ func TestFleetTenantEquivalence(t *testing.T) {
 				t.Fatalf("single-home daemon: %v", err)
 			}
 			runEquivWorkload(t, solo, soloClk, DefaultTenantID)
-			soloHash, soloEvents := ledgerHash(t, solo.Journal())
+			soloHash, soloEvents := ledgerHash(t, solo.def.journal)
 			if len(soloEvents) == 0 {
 				t.Fatal("single-home run produced no journal events — workload is vacuous")
 			}

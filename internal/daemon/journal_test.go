@@ -136,7 +136,7 @@ func TestDaemonJournalDisabled(t *testing.T) {
 	}
 	defer d.Close() //nolint:errcheck
 	d.Start()
-	if d.Journal() != nil {
+	if d.def.journal != nil {
 		t.Fatal("JournalCap -1 still built a journal")
 	}
 	if code := getStatus(t, "http://"+d.MetricsAddr()+"/debug/decisions"); code != http.StatusNotFound {

@@ -107,7 +107,7 @@ func TestDaemonDegradedFlightBundleCorrelation(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if !d.Degraded() {
+	if !d.def.Degraded() {
 		t.Fatal("daemon not degraded after the persist failure")
 	}
 
@@ -226,7 +226,7 @@ func TestDaemonDegradedFlightBundleCorrelation(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if d.Degraded() {
+	if d.def.Degraded() {
 		t.Fatal("daemon still degraded after the disk recovered")
 	}
 }

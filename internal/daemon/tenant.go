@@ -10,9 +10,9 @@
 // through one shared physical store via store.Namespace(parent,
 // "t/<id>/"). Persisted artifacts live per tenant under
 // PersistDir/tenants/<id>/.... A single-home daemon
-// (Options.Tenants empty) synthesizes one default tenant with no
-// prefix and the legacy directory layout — bit-for-bit the daemon this
-// package always was.
+// (Options.Tenants empty) is a fleet of one: the same tenant, built the
+// same way, with un-prefixed store keys and PersistDir itself as its
+// directory, so it reopens what earlier single-home builds wrote.
 package daemon
 
 import (
@@ -38,8 +38,7 @@ import (
 	"github.com/imcf/imcf/internal/units"
 )
 
-// DefaultTenantID names the tenant synthesized for single-home daemons
-// and the tenant legacy (un-prefixed) routes alias to.
+// DefaultTenantID names the tenant synthesized for single-home daemons.
 const DefaultTenantID = "home"
 
 // maxTenantIDLen bounds tenant identifiers; they become path elements
@@ -119,17 +118,16 @@ func tenantDir(base, id string) string { return filepath.Join(base, "tenants", i
 // Tenant is one home inside the daemon: the controller and every
 // tenant-scoped resource around it.
 type Tenant struct {
-	id        string
-	isDefault bool
-	ctrl      *controller.Controller
-	health    *metrics.Health
-	journal   *journal.Journal // nil when journaling is disabled
-	store     store.Adapter    // tenant-scoped view; nil without a store
-	api       http.Handler     // access-log- and degrade-wrapped REST API
-	strip     http.Handler     // api behind the /t/<id> prefix strip
-	logf      func(string, ...any)
-	clock     simclock.Clock
-	flight    func(reason, trace string) // degraded-entry flight-recorder hook; nil without a recorder
+	id      string
+	ctrl    *controller.Controller
+	health  *metrics.Health
+	journal *journal.Journal // nil when journaling is disabled
+	store   store.Adapter    // tenant-scoped view; nil without a store
+	api     http.Handler     // access-log- and degrade-wrapped REST API
+	strip   http.Handler     // api behind the /t/<id> prefix strip
+	logf    func(string, ...any)
+	clock   simclock.Clock
+	flight  func(reason, trace string) // degraded-entry flight-recorder hook; nil without a recorder
 }
 
 // ID returns the home identifier.
@@ -178,22 +176,17 @@ func parseMode(mode string) (controller.Mode, error) {
 }
 
 // newTenant assembles one tenant: residence, journal, persistence,
-// optional emulators and the controller, mirroring what the single-home
-// daemon always did. Store views are passed in because their layout is
-// backend-dependent (see New). Closers for tenant-owned resources are
-// appended to the daemon.
-func (d *Daemon) newTenant(opts Options, spec TenantSpec, multi bool, view store.Adapter) (*Tenant, error) {
+// optional emulators and the controller. New decides the on-disk
+// layout and passes in the tenant's store view and persistence
+// directory (empty disables persistence). Closers for tenant-owned
+// resources are appended to the daemon.
+func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, dir string) (*Tenant, error) {
 	t := &Tenant{
-		id:        spec.ID,
-		isDefault: spec.ID == d.defID,
-		store:     view,
-		logf:      d.logf,
-		clock:     d.clock,
-	}
-	if t.isDefault {
-		t.health = metrics.NewHealth(metrics.HealthyGauge)
-	} else {
-		t.health = metrics.NewHealth(tenantHealthy.With(t.id))
+		id:     spec.ID,
+		health: metrics.NewHealth(tenantHealthy.With(spec.ID)),
+		store:  view,
+		logf:   d.logf,
+		clock:  d.clock,
 	}
 
 	residence := spec.Residence
@@ -258,11 +251,7 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, multi bool, view store
 		d.closers = append(d.closers, func() error { hub.Close(); return nil })
 	}
 
-	if opts.PersistDir != "" {
-		dir := opts.PersistDir
-		if multi {
-			dir = tenantDir(opts.PersistDir, t.id)
-		}
+	if dir != "" {
 		svc, err := persistence.OpenFS(dir, opts.FS)
 		if err != nil {
 			return nil, err

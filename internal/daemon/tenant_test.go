@@ -16,6 +16,7 @@ import (
 	"github.com/imcf/imcf/internal/faultfs"
 	"github.com/imcf/imcf/internal/journal"
 	"github.com/imcf/imcf/internal/simclock"
+	"github.com/imcf/imcf/internal/store"
 )
 
 func TestParseTenantID(t *testing.T) {
@@ -116,8 +117,8 @@ func TestDaemonMultiTenantRouting(t *testing.T) {
 	if code := postStatus(t, api+"/rest/plan/run"); code != http.StatusOK {
 		t.Fatalf("legacy /rest/plan/run = %d", code)
 	}
-	if d.Controller() != d.Tenant("h2").Controller() {
-		t.Fatal("legacy Controller() is not the default tenant's")
+	if n1, n2 := len(d.Tenant("h1").Controller().History()), len(d.Tenant("h2").Controller().History()); n2 != n1+1 {
+		t.Fatalf("legacy route did not step the default tenant: h1 %d steps, h2 %d", n1, n2)
 	}
 
 	// Unknown homes 404 without touching any tenant.
@@ -183,18 +184,16 @@ func TestDaemonMultiTenantStores(t *testing.T) {
 		{ID: "h2", Residence: "flat", Seed: 2},
 	}
 	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
 		d, err := New(Options{
 			Addr: "127.0.0.1:0", Tenants: tenants,
-			WeeklyBudgetKWh: 165, StoreDir: t.TempDir(), Logf: t.Logf,
+			WeeklyBudgetKWh: 165, StoreDir: dir, Logf: t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer d.Close() //nolint:errcheck // test cleanup
 		for _, id := range []string{"h1", "h2"} {
-			if _, ok := d.store.Get("t/" + id + "/imcf/mrt"); !ok {
-				t.Errorf("shared store missing t/%s/imcf/mrt", id)
-			}
 			if _, ok := d.Tenant(id).Store().Get("imcf/mrt"); !ok {
 				t.Errorf("tenant %s view missing imcf/mrt", id)
 			}
@@ -202,6 +201,22 @@ func TestDaemonMultiTenantStores(t *testing.T) {
 		// Cross-tenant invisibility through the views.
 		if keys := d.Tenant("h1").Store().Keys(""); len(keys) != 1 || keys[0] != "imcf/mrt" {
 			t.Errorf("h1 view keys = %v", keys)
+		}
+
+		// On disk, the one shared store holds each tenant's keys under
+		// its prefix.
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db, err := store.Open(store.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close() //nolint:errcheck // test cleanup
+		for _, id := range []string{"h1", "h2"} {
+			if _, ok := db.Get("t/" + id + "/imcf/mrt"); !ok {
+				t.Errorf("shared store missing t/%s/imcf/mrt", id)
+			}
 		}
 	})
 }
@@ -371,9 +386,9 @@ func TestDaemonTenantDegradedSharedLog(t *testing.T) {
 		t.Fatalf("degraded POST = %d, want 503", code)
 	}
 
-	// The neighbor has not written since the fault, so it is not yet
-	// degraded, and the daemon-level (default tenant) state stays clear.
-	if d.Tenant("h1").Degraded() || d.Degraded() {
+	// The neighbor (the default tenant) has not written since the
+	// fault, so it is not yet degraded.
+	if d.Tenant("h1").Degraded() {
 		t.Fatal("tenant degraded without a failed mutation of its own")
 	}
 
@@ -381,12 +396,8 @@ func TestDaemonTenantDegradedSharedLog(t *testing.T) {
 	if fams[`imcf_tenant_degraded{tenant="h2"}`] != 1 {
 		t.Errorf("imcf_tenant_degraded{h2} = %v, want 1", fams[`imcf_tenant_degraded{tenant="h2"}`])
 	}
-	if fams[`imcf_tenant_degraded{tenant="h1"}`] == 1 {
-		t.Error("imcf_tenant_degraded{h1} = 1, want 0")
-	}
-	if fams["imcf_daemon_degraded"] != 0 {
-		t.Errorf("imcf_daemon_degraded = %v, want 0 (default tenant h1 is healthy)",
-			fams["imcf_daemon_degraded"])
+	if got := fams[`imcf_tenant_degraded{tenant="h1"}`]; got != 0 {
+		t.Errorf("imcf_tenant_degraded{h1} = %v, want 0 (default tenant h1 is healthy)", got)
 	}
 
 	// The neighbor's own mutation then hits the shared log and degrades
@@ -394,7 +405,7 @@ func TestDaemonTenantDegradedSharedLog(t *testing.T) {
 	if code := post("h1"); code != http.StatusInternalServerError {
 		t.Fatalf("neighbor disk-full POST = %d, want 500", code)
 	}
-	if !d.Tenant("h1").Degraded() || !d.Degraded() {
+	if !d.Tenant("h1").Degraded() {
 		t.Fatal("h1 not degraded after its own persist failure")
 	}
 
@@ -413,7 +424,55 @@ func TestDaemonTenantDegradedSharedLog(t *testing.T) {
 	if code := post("h1"); code != http.StatusOK {
 		t.Fatalf("neighbor post-recovery POST = %d, want 200", code)
 	}
-	if d.Degraded() {
+	if d.Tenant("h1").Degraded() {
 		t.Fatal("h1 still degraded after recovery")
+	}
+}
+
+// TestDaemonEveryTenantReportsHealth checks that /metrics carries an
+// imcf_tenant_healthy series for every hosted home, the default
+// (first-listed) tenant included, and that each series follows its own
+// tenant's planning outcome.
+func TestDaemonEveryTenantReportsHealth(t *testing.T) {
+	clock := simclock.NewSimClock(time.Date(2021, time.April, 13, 1, 0, 0, 0, time.UTC))
+	binding := &flakyBinding{}
+	d, err := New(Options{
+		Addr:        "127.0.0.1:0",
+		MetricsAddr: "127.0.0.1:0",
+		Tenants: []TenantSpec{
+			{ID: "health-h1", Residence: "prototype", Seed: 1},
+			{ID: "health-h2", Residence: "prototype", Seed: 2},
+		},
+		WeeklyBudgetKWh: 165,
+		Clock:           clock,
+		Binding:         binding,
+		Logf:            t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //nolint:errcheck // test cleanup
+	d.Start()
+	obs := "http://" + d.MetricsAddr()
+
+	fams := scrapeMetrics(t, obs+"/metrics")
+	for _, id := range []string{"health-h1", "health-h2"} {
+		key := `imcf_tenant_healthy{tenant="` + id + `"}`
+		if got, ok := fams[key]; !ok || got != 1 {
+			t.Errorf("%s = %v (present %v), want 1", key, got, ok)
+		}
+	}
+
+	// A failed cycle of the default tenant clears its series only.
+	binding.fail.Store(true)
+	if _, err := d.Tenant("health-h1").Controller().Step(); err == nil {
+		t.Fatal("step with a failing binding succeeded")
+	}
+	fams = scrapeMetrics(t, obs+"/metrics")
+	if got := fams[`imcf_tenant_healthy{tenant="health-h1"}`]; got != 0 {
+		t.Errorf("health-h1 after a failed cycle = %v, want 0", got)
+	}
+	if got := fams[`imcf_tenant_healthy{tenant="health-h2"}`]; got != 1 {
+		t.Errorf("health-h2 after its neighbour failed = %v, want 1", got)
 	}
 }

@@ -288,7 +288,7 @@ func TestCycleCanceledContext(t *testing.T) {
 // TestCycleMetricsRecorded scrapes the package families after a cycle
 // with metrics enabled.
 func TestCycleMetricsRecorded(t *testing.T) {
-	before := fleetCycles.Value()
+	before, errsBefore := fleetCycles.Value(), tenantErrors.With("mh2").Value()
 	s, err := New([]Member{
 		member("mh1", nil),
 		member("mh2", func(context.Context) error { return errors.New("boom") }),
@@ -305,8 +305,8 @@ func TestCycleMetricsRecorded(t *testing.T) {
 	if got := fleetCycles.Value(); got != before+1 {
 		t.Errorf("fleetCycles = %d, want %d", got, before+1)
 	}
-	if got := tenantErrors.With("mh2").Value(); got != 1 {
-		t.Errorf("tenantErrors{mh2} = %d, want 1", got)
+	if got := tenantErrors.With("mh2").Value(); got != errsBefore+1 {
+		t.Errorf("tenantErrors{mh2} = %d, want %d", got, errsBefore+1)
 	}
 	// The plan-latency gauges were resolved once, in member order.
 	for i, id := range s.Tenants() {

@@ -54,10 +54,6 @@ var (
 	ConvenienceErrorSum = NewFloatCounter("imcf_convenience_error_sum",
 		"Accumulated convenience error of dropped decisions (F_CE numerator).")
 
-	// HealthyGauge mirrors the daemon's /healthz state on /metrics.
-	HealthyGauge = NewGauge("imcf_healthy",
-		"1 when the last planning cycle succeeded, 0 after a cycle error.")
-
 	// TraceRequests counts HTTP requests entering trace-aware handlers,
 	// split by whether the traceparent arrived from an upstream hop
 	// ("propagated") or had to be minted fresh ("minted"). A healthy

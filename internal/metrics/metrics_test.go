@@ -305,7 +305,6 @@ func TestDefaultFamiliesRegistered(t *testing.T) {
 		"imcf_rules_executed_total",
 		"imcf_rules_dropped_total",
 		"imcf_energy_consumed_kwh",
-		"imcf_healthy",
 	} {
 		if !strings.Contains(out, fam) {
 			t.Errorf("default registry missing family %s", fam)

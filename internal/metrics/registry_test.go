@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,10 +15,16 @@ func TestPackageLevelShorthands(t *testing.T) {
 	if NewCounter("short_total", "again") != c {
 		t.Fatal("NewCounter must dedupe on the Default registry")
 	}
-	NewFloatCounter("short_kwh", "f").Add(2)
+	// The Default registry is process-global, so the counters are
+	// checked against their values before this test's increments.
+	kwh := NewFloatCounter("short_kwh", "f")
+	kwh0 := kwh.Value()
+	kwh.Add(2)
 	NewGauge("short_gauge", "g").Set(3)
 	NewHistogram("short_seconds", "h", nil).Observe(0.1)
-	NewCounterVec("short_by_kind_total", "v", "kind").With("a").Inc()
+	byKind := NewCounterVec("short_by_kind_total", "v", "kind").With("a")
+	byKind0 := byKind.Value()
+	byKind.Inc()
 	if DefaultTracer() == nil {
 		t.Fatal("DefaultTracer must exist")
 	}
@@ -39,7 +46,12 @@ func TestPackageLevelShorthands(t *testing.T) {
 		}
 	}
 	body := sb.String()
-	for _, want := range []string{"short_total", "short_kwh 2", "short_gauge 3", `short_by_kind_total{kind="a"} 1`} {
+	for _, want := range []string{
+		"short_total",
+		"short_kwh " + strconv.FormatFloat(kwh0+2, 'g', -1, 64),
+		"short_gauge 3",
+		`short_by_kind_total{kind="a"} ` + strconv.FormatUint(byKind0+1, 10),
+	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("default handler missing %q", want)
 		}

@@ -87,6 +87,13 @@ echo ">> degraded-mode tests, shuffled"
 check_gate Degraded ./internal/daemon
 go test -count=2 -shuffle=on -run Degraded ./internal/daemon
 
+# The fleet and metrics packages, twice over in random order: their
+# metric families are process-global too, so a test that reads one as
+# an absolute instead of against its value before the action fails
+# here.
+echo ">> fleet and metrics tests, twice, shuffled"
+go test -count=2 -shuffle=on ./internal/fleet ./internal/metrics
+
 # Tenant-equivalence harness: the multi-home tentpole gate (DESIGN.md
 # §13) — one home hosted solo and hosted as a fleet tenant among noisy
 # neighbors must produce bit-identical journal hashes, event streams,

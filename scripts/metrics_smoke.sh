@@ -61,7 +61,7 @@ for family in \
     imcf_rules_dropped_total \
     imcf_energy_consumed_kwh \
     imcf_controller_steps_total \
-    imcf_healthy; do
+    imcf_tenant_healthy; do
     if ! echo "$scrape" | grep -q "^$family"; then
         echo "metrics-smoke: FAIL — family $family missing from /metrics" >&2
         exit 1

@@ -116,7 +116,7 @@ func TestE2ETracing(t *testing.T) {
 	}
 
 	// Every dropped rule at every slot: exactly one journal event.
-	j := d.Journal()
+	j := d.Tenant(daemon.DefaultTenantID).Journal()
 	for _, sv := range day {
 		for _, id := range sv.dropped {
 			evs := j.Recent(journal.Filter{Rule: id, Slot: sv.at, Verdict: journal.VerdictDropped})
@@ -153,7 +153,7 @@ func TestE2ETracing(t *testing.T) {
 	}
 	d2, _ := newDaemon(start.Add(24 * time.Hour))
 	defer d2.Close() //nolint:errcheck
-	if got := d2.Journal().Len(); got != before {
+	if got := d2.Tenant(daemon.DefaultTenantID).Journal().Len(); got != before {
 		t.Fatalf("restarted daemon replayed %d events, want %d", got, before)
 	}
 
