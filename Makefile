@@ -31,33 +31,32 @@ lint:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
+# The -run regexes of the three suites below live in scripts/gates.sh,
+# shared with check, which also fails a suite whose gate names match no
+# test.
+#
 # fleet-suite runs the multi-home proof obligations in isolation,
 # verbosely: the tenant-equivalence harness (bit-identical solo vs
 # fleet-tenant hosting) and the multi-tenant kill-at-every-failpoint
 # crash suite. Both are part of check.
 fleet-suite:
-	$(GO) test -count=1 -v \
-		-run 'FleetTenantEquivalence|FleetCrashSharedWAL' \
-		./internal/daemon
+	./scripts/gates.sh fleet -v
 
 # crash-suite runs the kill-at-every-failpoint recovery harness (see
-# DESIGN.md §11): store and journal crash/recovery at every I/O
-# failpoint, compaction-rename durability, and the daemon degraded-mode
-# e2e. Part of check; this target reruns it in isolation, verbosely.
+# DESIGN.md §11): store, journal and flight-recorder crash/recovery at
+# every I/O failpoint, compaction-rename durability, and the daemon
+# degraded-mode e2e tests. Part of check; this target reruns it in
+# isolation, verbosely.
 crash-suite:
-	$(GO) test -count=1 -v \
-		-run 'CrashRecoveryEveryFailpoint|CompactionRenameDurability|FailedCompactionLeavesCleanErrors|ProbeRecordsAreInvisible|JournalCrashRecoveryEveryFailpoint|JournalSyncCadence|DaemonDegradedMode|FleetCrashSharedWAL' \
-		./internal/store ./internal/persistence ./internal/daemon
+	./scripts/gates.sh crash -v
 
 # stream-suite reruns the delta-sync proof obligations in isolation,
 # verbosely: the stream-equivalence harness (sync-maintained mirror
 # bit-identical to poll-built, workers 1 and 8, across chaos-proxy
-# disconnects and a daemon restart) plus the relay aggregator and
-# SSE-through-relay tests. Part of check.
+# disconnects and a daemon restart) plus SSE deltas crossing the cloud
+# relay's proxy. Part of check.
 stream-suite:
-	$(GO) test -count=1 -v \
-		-run 'StreamEquivalence|Aggregator|ProxyStreamsSSE|StreamWithoutAggregator' \
-		./internal/daemon ./internal/cloud
+	./scripts/gates.sh stream -v
 
 # obs-smoke proves the flight recorder end to end: the degraded-flip
 # e2e (a disk-full tenant produces a correlated bundle), then a live

@@ -22,7 +22,7 @@
 //
 // Each tenant also serves the delta-sync decision stream (DESIGN.md
 // §16) at /rest/stream/snapshot and /rest/stream; -stream-ring sizes
-// its delta ring (negative disables streaming).
+// its delta ring (0 means the default, 256 events).
 //
 // With -emulate, every HVAC and light in the residence gets an
 // in-process device emulator and commands flow over real loopback HTTP
@@ -63,7 +63,7 @@ func main() {
 		journalSync  = flag.Int("journal-sync", 1, "fsync the decision journal every N events (negative: only on shutdown)")
 		tenants      = flag.String("tenants", "", "comma-separated home IDs for multi-tenant hosting (empty: one single-home tenant)")
 		fleetWorkers = flag.Int("fleet-workers", 1, "tenants planning concurrently per fleet cycle")
-		streamRing   = flag.Int("stream-ring", 0, "decision-stream delta ring capacity per tenant (0: default, negative disables streaming)")
+		streamRing   = flag.Int("stream-ring", 0, "decision-stream delta ring capacity per tenant (0: default)")
 		debugAddr    = flag.String("debug-addr", "", "debug listen address for pprof, /debug/logs and POST /debug/flight (empty disables)")
 		diagnostics  = flag.String("diagnostics", "diagnostics", "flight-recorder bundle directory (empty disables; SIGQUIT dumps a bundle)")
 		logLevel     = flag.String("log-level", "info", "structured log level: debug, info, warn or error")

@@ -13,12 +13,10 @@
 //	ANY  /cc/sites/{site}/rest/...     — reverse-proxy to that site's LC
 //	POST /cmc/broadcast/mrt            — push a Meta-Rule Table to every site
 //	POST /cmc/broadcast/plan           — trigger an EP cycle on every site
-//	GET  /cmc/stream/snapshot          — merged cross-site decision stream state
-//	GET  /cmc/stream                   — merged decision-stream deltas (long-poll/SSE)
 //
-// The /cmc/stream pair appears when an Aggregator is attached: per-site
-// workers follow each Local Controller's /rest/stream and republish
-// into one merged hub keyed "site/kind" (DESIGN.md §16).
+// A site's decision stream (DESIGN.md §16) crosses the relay through
+// the proxy: /cc/sites/{site}/rest/stream is flushed per chunk when the
+// LC answers with server-sent events.
 //
 // A non-empty bearer token gates every route, standing in for the
 // user-account auth a production CC would carry.
@@ -58,9 +56,6 @@ type Relay struct {
 
 	mu    sync.RWMutex
 	sites map[string]*url.URL
-	// agg, when attached, fans site decision streams into one merged
-	// hub served at /cmc/stream (see Aggregator).
-	agg *Aggregator
 }
 
 // NewRelay returns a relay; token may be empty to disable auth (tests,
@@ -83,11 +78,7 @@ func (r *Relay) Register(site, baseURL string) error {
 	}
 	r.mu.Lock()
 	r.sites[site] = u
-	agg := r.agg
 	r.mu.Unlock()
-	if agg != nil {
-		agg.siteAdded(site, u)
-	}
 	return nil
 }
 
@@ -95,11 +86,7 @@ func (r *Relay) Register(site, baseURL string) error {
 func (r *Relay) Unregister(site string) {
 	r.mu.Lock()
 	delete(r.sites, site)
-	agg := r.agg
 	r.mu.Unlock()
-	if agg != nil {
-		agg.siteRemoved(site)
-	}
 }
 
 // Sites returns the registered site names, sorted.
@@ -158,24 +145,6 @@ func (r *Relay) Handler() http.Handler {
 	}))
 	mux.HandleFunc("POST /cmc/broadcast/plan", r.withAuth(func(w http.ResponseWriter, req *http.Request) {
 		r.broadcast(w, req, "/rest/plan/run", false)
-	}))
-	// The merged cross-site decision stream, present when an Aggregator
-	// is attached (resolved per request: attachment may follow Handler).
-	mux.HandleFunc("GET /cmc/stream/snapshot", r.withAuth(func(w http.ResponseWriter, req *http.Request) {
-		hub := r.streamHub()
-		if hub == nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "stream aggregation is disabled"})
-			return
-		}
-		hub.SnapshotHandler()(w, req)
-	}))
-	mux.HandleFunc("GET /cmc/stream", r.withAuth(func(w http.ResponseWriter, req *http.Request) {
-		hub := r.streamHub()
-		if hub == nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "stream aggregation is disabled"})
-			return
-		}
-		hub.DeltaHandler()(w, req)
 	}))
 	// TraceMiddleware propagates an incoming traceparent (or mints one)
 	// so a cycle triggered through the relay shares the APP's trace end

@@ -1,25 +1,34 @@
 package cloud
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"net/url"
 
 	"github.com/imcf/imcf/internal/controller"
 	"github.com/imcf/imcf/internal/home"
 	"github.com/imcf/imcf/internal/persistence"
 	"github.com/imcf/imcf/internal/rules"
 	"github.com/imcf/imcf/internal/simclock"
+	"github.com/imcf/imcf/internal/stream"
 )
 
 // newSite boots a prototype controller behind its REST API.
 func newSite(t *testing.T, seed uint64) (*controller.Controller, *httptest.Server) {
+	return newStreamSite(t, seed, "")
+}
+
+// newStreamSite is newSite with a decision-stream hub whose instance
+// token is instance; "" boots the site without a hub.
+func newStreamSite(t *testing.T, seed uint64, instance string) (*controller.Controller, *httptest.Server) {
 	t.Helper()
 	res, err := home.Prototype(seed)
 	if err != nil {
@@ -29,6 +38,9 @@ func newSite(t *testing.T, seed uint64) (*controller.Controller, *httptest.Serve
 		Residence:    res,
 		Clock:        simclock.NewSimClock(time.Date(2015, time.January, 10, 20, 0, 0, 0, time.UTC)),
 		WeeklyBudget: home.PrototypeWeeklyBudget,
+	}
+	if instance != "" {
+		cfg.Stream = stream.NewHub(instance, 64)
 	}
 	cfg.Planner.Seed = seed
 	c, err := controller.New(cfg)
@@ -378,5 +390,59 @@ func TestProxyPreservesQueryParams(t *testing.T) {
 	}
 	if len(points) != 3 {
 		t.Errorf("points through relay = %d, want 3", len(points))
+	}
+}
+
+// TestProxyStreamsSSEThroughRelay proves the relay's body copy flushes
+// event-stream responses chunk by chunk: an SSE batch published after
+// the connection is up must arrive while the upstream holds the
+// connection open — a buffered io.Copy would sit on it until EOF.
+func TestProxyStreamsSSEThroughRelay(t *testing.T) {
+	c, lc := newStreamSite(t, 42, "boot-sse")
+	relay := newRelay(t, "", map[string]string{"home": lc.URL})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		relay.URL+"/cc/sites/home/rest/stream?instance=boot-sse&seq="+
+			strconv.FormatUint(c.Stream().Seq(), 10), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
+		t.Fatalf("Content-Type through relay = %q", ct)
+	}
+
+	lines := make(chan string, 16)
+	go func() {
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+	}()
+
+	if _, err := c.Step(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case line, ok := <-lines:
+			if !ok {
+				t.Fatal("stream closed before a batch arrived")
+			}
+			if line == "event: batch" {
+				return // the delta crossed the relay while the stream is live
+			}
+		case <-deadline:
+			t.Fatal("no SSE batch crossed the relay within 5s")
+		}
 	}
 }

@@ -120,8 +120,8 @@ func API(c *Controller) http.Handler {
 		}
 		if err := c.SetMRT(t); err != nil {
 			// A table that failed to persist is a server fault, not a
-			// client one: the new MRT is active in memory but a restart
-			// would lose it.
+			// client one. It was never installed: the previous MRT stays
+			// active, published and persisted.
 			var pe *PersistError
 			if errors.As(err, &pe) {
 				writeError(w, r, http.StatusInternalServerError, err)

@@ -164,10 +164,11 @@ type Controller struct {
 	clock    simclock.Clock
 	rec      *stepRecorder
 
-	// stepMu serializes planning cycles: the planner, the step scratch
-	// and a cycle's firewall programming belong to one step at a time,
-	// whichever entry point (cron, fleet Cycle, POST /rest/plan/run)
-	// started it. Lock order: stepMu, then mu.
+	// stepMu serializes planning cycles and MRT installs: the planner,
+	// the step scratch and a cycle's firewall programming belong to one
+	// step at a time, whichever entry point (cron, fleet Cycle, POST
+	// /rest/plan/run) started it, and SetMRT's persist-swap-publish
+	// runs as one unit. Lock order: stepMu, then mu.
 	stepMu  sync.Mutex
 	scratch stepScratch
 
@@ -364,7 +365,11 @@ func (c *Controller) MRT() rules.MRT {
 	return out
 }
 
-// SetMRT validates, installs and persists a new Meta-Rule Table.
+// SetMRT validates, persists, installs and publishes a new Meta-Rule
+// Table, in that order: a table that fails to persist never goes live
+// or onto the stream. The whole install holds stepMu, so MRT writes and
+// planning steps have one writer and memory, store and stream agree
+// after every call; readers under mu never wait on the store.
 func (c *Controller) SetMRT(t rules.MRT) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -374,15 +379,17 @@ func (c *Controller) SetMRT(t rules.MRT) error {
 			return fmt.Errorf("controller: rule %s references missing zone %d", r.ID, r.Zone)
 		}
 	}
-	c.mu.Lock()
-	c.mrt = t
-	c.mu.Unlock()
-	c.publishStream(stream.KindMRT, t)
+	c.stepMu.Lock()
+	defer c.stepMu.Unlock()
 	if c.cfg.Store != nil {
 		if err := c.cfg.Store.PutJSON(mrtStoreKey, t); err != nil {
 			return &PersistError{Err: err}
 		}
 	}
+	c.mu.Lock()
+	c.mrt = t
+	c.mu.Unlock()
+	c.publishStream(stream.KindMRT, t)
 	return nil
 }
 

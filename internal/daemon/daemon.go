@@ -5,9 +5,11 @@
 // cron-driven Energy Planner cycles over a bounded worker pool, the
 // openHAB-style REST API (tenant-scoped under /t/{home}/, with the
 // un-prefixed routes aliased to the default tenant), and the
-// observability endpoints (/metrics, /healthz, /debug/spans). A
-// single-home daemon is a fleet of one: the same tenant and the same
-// scheduler, differing only in its on-disk layout (see New).
+// observability endpoints (/metrics, /healthz and the /debug/spans,
+// /debug/exemplars, /debug/logs, /debug/decisions and /debug/trace/{id}
+// read surfaces). A single-home daemon is a fleet of one: the same
+// tenant and the same scheduler, differing only in its on-disk layout
+// (see New).
 //
 // It is the testable core of cmd/imcfd: tests boot a Daemon on
 // ephemeral ports (":0"), drive it over real HTTP, and inspect the
@@ -47,8 +49,10 @@ const shutdownGrace = 5 * time.Second
 type Options struct {
 	// Addr is the REST API listen address (":0" for an ephemeral port).
 	Addr string
-	// MetricsAddr serves /metrics, /healthz and /debug/spans; empty
-	// disables the observability listener.
+	// MetricsAddr serves /metrics, /healthz, /debug/spans,
+	// /debug/exemplars and /debug/logs, plus /debug/decisions and
+	// /debug/trace/{id} unless journaling is disabled; empty disables
+	// the observability listener.
 	MetricsAddr string
 	// Residence names the built-in layout: prototype, flat or house.
 	Residence string
@@ -118,12 +122,9 @@ type Options struct {
 	// page transitions, SIGQUIT and manual triggers. Empty disables the
 	// recorder.
 	DiagnosticsDir string
-	// SLO overrides the SLO engine's thresholds; nil uses the obs
-	// defaults (1% error budget, warn at 2x burn, page at 10x).
-	SLO *obs.Config
 	// StreamRingCap bounds each tenant's decision-stream delta ring
-	// (served at /t/<id>/rest/stream); 0 means stream.DefaultRingCap,
-	// negative disables streaming entirely.
+	// (served at /t/<id>/rest/stream); 0 means stream.DefaultRingCap.
+	// Every tenant streams; a negative capacity is rejected.
 	StreamRingCap int
 }
 
@@ -159,6 +160,9 @@ type Daemon struct {
 // yet; call Serve. On error, everything partially constructed is torn
 // down.
 func New(opts Options) (_ *Daemon, err error) {
+	if opts.StreamRingCap < 0 {
+		return nil, fmt.Errorf("daemon: negative stream ring capacity %d", opts.StreamRingCap)
+	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = obsLogf
@@ -168,7 +172,7 @@ func New(opts Options) (_ *Daemon, err error) {
 		clock = simclock.RealClock{}
 	}
 	d := &Daemon{logf: logf, clock: clock, byID: make(map[string]*Tenant)}
-	d.slo = obs.NewSLO(d.sloConfig(opts.SLO))
+	d.slo = obs.NewSLO(obs.Config{OnTransition: d.onSLOTransition})
 	defer func() {
 		if err != nil {
 			d.Close() //nolint:errcheck // already failing

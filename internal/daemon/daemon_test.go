@@ -159,6 +159,9 @@ func TestDaemonRejectsBadOptions(t *testing.T) {
 			t.Errorf("unknown store backend %q accepted", backend)
 		}
 	}
+	if _, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165, StreamRingCap: -1}); err == nil {
+		t.Error("negative stream ring capacity accepted")
+	}
 }
 
 // TestDaemonStoreBackends boots the daemon once per storage engine and

@@ -34,24 +34,6 @@ func obsLogf(format string, args ...any) {
 	l.Info(fmt.Sprintf(format, args...))
 }
 
-// sloConfig resolves the daemon's SLO engine configuration: the
-// caller's thresholds (nil means obs defaults) with the daemon's
-// transition hook chained in front of any user hook.
-func (d *Daemon) sloConfig(user *obs.Config) obs.Config {
-	cfg := obs.Config{}
-	if user != nil {
-		cfg = *user
-	}
-	userHook := cfg.OnTransition
-	cfg.OnTransition = func(tenant string, from, to obs.State) {
-		d.onSLOTransition(tenant, from, to)
-		if userHook != nil {
-			userHook(tenant, from, to)
-		}
-	}
-	return cfg
-}
-
 // onSLOTransition reacts to alert state-machine edges: every transition
 // is logged; a page transition snapshots a flight bundle for the paging
 // tenant.

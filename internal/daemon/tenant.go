@@ -242,14 +242,12 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 		return nil, err
 	}
 
-	if opts.StreamRingCap >= 0 {
-		// The instance token marks one hub lifetime: it must differ
-		// across daemon restarts (sequence numbers are not comparable),
-		// so it is minted from crypto/rand, never from the sim clock.
-		hub := stream.NewHub(t.id+"-"+mintStreamInstance(), opts.StreamRingCap)
-		cfg.Stream = hub
-		d.closers = append(d.closers, func() error { hub.Close(); return nil })
-	}
+	// The instance token marks one hub lifetime: it must differ across
+	// daemon restarts (sequence numbers are not comparable), so it is
+	// minted from crypto/rand, never from the sim clock.
+	hub := stream.NewHub(t.id+"-"+mintStreamInstance(), opts.StreamRingCap)
+	cfg.Stream = hub
+	d.closers = append(d.closers, func() error { hub.Close(); return nil })
 
 	if dir != "" {
 		svc, err := persistence.OpenFS(dir, opts.FS)

@@ -88,11 +88,6 @@ type Options struct {
 	// never concurrent with itself).
 	OnError func(id string, err error)
 
-	// Observe, when set, receives each tenant's cycle latency in
-	// seconds. Bench harnesses aggregate percentiles from it. Called
-	// from worker goroutines; must be safe for concurrent use.
-	Observe func(id string, seconds float64)
-
 	// ObserveResult, when set, receives each tenant's cycle latency in
 	// seconds together with its outcome — the feed the SLO engine
 	// attributes error budgets from. Called from worker goroutines; must
@@ -118,7 +113,6 @@ type Scheduler struct {
 	planGauges []*metrics.Gauge // imcf_fleet_tenant_plan_seconds children, index-aligned with members; nil under NoMetrics
 	workers    int
 	onError    func(id string, err error)
-	observe    func(id string, seconds float64)
 	observeRes func(id string, seconds float64, err error)
 	afterCycle func()
 	metrics    bool
@@ -154,7 +148,6 @@ func New(members []Member, opts Options) (*Scheduler, error) {
 		members:    ms,
 		workers:    workers,
 		onError:    opts.OnError,
-		observe:    opts.Observe,
 		observeRes: opts.ObserveResult,
 		afterCycle: opts.AfterCycle,
 		metrics:    !opts.NoMetrics,
@@ -263,9 +256,6 @@ func (s *Scheduler) work(ctx context.Context) {
 		sec := time.Since(tStart).Seconds()
 		if s.planGauges != nil {
 			s.planGauges[i].Set(sec)
-		}
-		if s.observe != nil {
-			s.observe(m.ID, sec)
 		}
 		if s.observeRes != nil {
 			s.observeRes(m.ID, sec, err)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func member(id string, step func(ctx context.Context) error) Member {
@@ -235,28 +236,43 @@ func TestMemberErrorsExtraction(t *testing.T) {
 	}
 }
 
+// TestObserveHook: ObserveResult sees every member once per cycle,
+// with that member's own latency and, for a failing member, its error.
 func TestObserveHook(t *testing.T) {
+	const nap = 2 * time.Millisecond
+	boom := errors.New("boom")
+	type result struct {
+		seconds float64
+		err     error
+	}
 	var mu sync.Mutex
-	seen := map[string]int{}
-	s, err := New([]Member{member("h1", nil), member("h2", nil)}, Options{
+	seen := map[string][]result{}
+	s, err := New([]Member{
+		member("h1", func(context.Context) error { time.Sleep(nap); return nil }),
+		member("h2", func(context.Context) error { return boom }),
+	}, Options{
 		Workers: 2,
-		Observe: func(id string, seconds float64) {
+		ObserveResult: func(id string, seconds float64, err error) {
 			mu.Lock()
-			seen[id]++
+			seen[id] = append(seen[id], result{seconds, err})
 			mu.Unlock()
-			if seconds < 0 {
-				t.Errorf("negative latency %f for %s", seconds, id)
-			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Cycle(context.Background()); err != nil {
-		t.Fatal(err)
+	if err := s.Cycle(context.Background()); !errors.Is(err, boom) {
+		t.Fatalf("Cycle = %v, want h2's error", err)
 	}
-	if seen["h1"] != 1 || seen["h2"] != 1 {
-		t.Errorf("Observe calls = %v", seen)
+	if len(seen["h1"]) != 1 || len(seen["h2"]) != 1 {
+		t.Fatalf("ObserveResult calls = %v", seen)
+	}
+	h1, h2 := seen["h1"][0], seen["h2"][0]
+	if h1.err != nil || h1.seconds < nap.Seconds() {
+		t.Errorf("h1 observed %+v, want no error and at least %v", h1, nap)
+	}
+	if !errors.Is(h2.err, boom) || h2.seconds < 0 {
+		t.Errorf("h2 observed %+v, want its error and a latency", h2)
 	}
 }
 

@@ -57,7 +57,9 @@ func (m *Mirror) ApplySnapshot(s Snapshot) {
 // mirror's current instance (enforced, not assumed): a cross-instance
 // batch is rejected so a watcher bug cannot silently interleave two
 // producer lifetimes. Events at or below the mirror's sequence number
-// are skipped — replays are harmless.
+// are skipped — replays are harmless. An event without data deletes
+// its component instead of storing an empty value; a hub never sends
+// one, so this only keeps a malformed batch from corrupting the state.
 func (m *Mirror) ApplyBatch(b Batch) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -56,9 +56,9 @@ const (
 	KindFirewall Kind = "firewall"
 )
 
-// Event is one delta: the full new value of one component. A nil Data
-// is a tombstone — the component was removed (a site unregistering from
-// the relay, for example).
+// Event is one delta: the full new value of one component. A hub never
+// publishes an event without Data (see Mirror.ApplyBatch for how a
+// mirror treats one).
 type Event struct {
 	Seq  uint64          `json:"seq"`
 	Kind Kind            `json:"kind"`
@@ -66,8 +66,8 @@ type Event struct {
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
-// Key is the component identity an event addresses: the kind alone at
-// the edge, "site/kind" behind the relay's fan-in.
+// Key is the component identity an event addresses: the kind alone
+// for an empty site, "site/kind" otherwise.
 func (e Event) Key() string { return componentKey(e.Site, e.Kind) }
 
 func componentKey(site string, kind Kind) string {
@@ -75,23 +75,6 @@ func componentKey(site string, kind Kind) string {
 		return string(kind)
 	}
 	return site + "/" + string(kind)
-}
-
-// splitKey undoes componentKey.
-func splitKey(key string) (site string, kind Kind) {
-	if i := lastSlash(key); i >= 0 {
-		return key[:i], Kind(key[i+1:])
-	}
-	return "", Kind(key)
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }
 
 // Snapshot is the full state at one sequence number.
@@ -196,47 +179,13 @@ func compactJSON(buf *bytes.Buffer, data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Remove publishes a tombstone deleting (site, kind) from the state. A
-// missing component is a no-op and consumes no sequence number.
-func (h *Hub) Remove(site string, kind Kind) {
-	key := componentKey(site, kind)
-	h.mu.Lock()
-	if _, ok := h.state[key]; !ok {
-		h.mu.Unlock()
-		return
-	}
-	h.mu.Unlock()
-	h.install(Event{Kind: kind, Site: site})
-}
-
-// RemoveSite tombstones every component of one site — the relay's
-// unregister path.
-func (h *Hub) RemoveSite(site string) {
-	h.mu.Lock()
-	var kinds []Kind
-	for key := range h.state {
-		if s, k := splitKey(key); s == site {
-			kinds = append(kinds, k)
-		}
-	}
-	h.mu.Unlock()
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	for _, k := range kinds {
-		h.Remove(site, k)
-	}
-}
-
 // install appends the event under the next sequence number.
 func (h *Hub) install(ev Event) uint64 {
 	h.mu.Lock()
 	h.seq++
 	ev.Seq = h.seq
 	key := ev.Key()
-	if ev.Data == nil {
-		delete(h.state, key)
-	} else {
-		h.state[key] = ev.Data
-	}
+	h.state[key] = ev.Data
 	h.compSeq[key] = ev.Seq
 	if h.count < cap(h.ring) {
 		h.ring = append(h.ring, ev)

@@ -156,36 +156,6 @@ func TestSinceRefusesUnresumablePositions(t *testing.T) {
 	}
 }
 
-func TestRemoveAndRemoveSite(t *testing.T) {
-	h := NewHub("i", 16)
-	mustPublish(t, h, "alpha", KindMRT, 1)
-	mustPublish(t, h, "alpha", KindPlan, 2)
-	mustPublish(t, h, "beta", KindMRT, 3)
-
-	h.Remove("beta", KindPlan) // absent: no-op
-	if h.Seq() != 3 {
-		t.Fatalf("no-op remove consumed seq: %d", h.Seq())
-	}
-	h.RemoveSite("alpha")
-	snap := h.Snapshot()
-	if len(snap.State) != 1 {
-		t.Fatalf("state after site removal = %v", snap.State)
-	}
-	if _, ok := snap.State["beta/mrt"]; !ok {
-		t.Fatal("beta lost by alpha's removal")
-	}
-	// Tombstones travel as deltas too.
-	b, ok := h.Since("i", 3)
-	if !ok || len(b.Events) != 2 {
-		t.Fatalf("tombstone batch = %+v, %v", b, ok)
-	}
-	for _, ev := range b.Events {
-		if ev.Data != nil || ev.Site != "alpha" {
-			t.Fatalf("tombstone = %+v", ev)
-		}
-	}
-}
-
 func TestWaitWakesOnPublish(t *testing.T) {
 	h := NewHub("i", 4)
 	mustPublish(t, h, "", KindMRT, 1)
@@ -353,7 +323,7 @@ func TestMirrorSkipsReplayedEvents(t *testing.T) {
 	err := m.ApplyBatch(Batch{Instance: "i", Through: 4, Events: []Event{
 		{Seq: 2, Kind: KindPlan, Data: json.RawMessage(`0`)}, // replay: skipped
 		{Seq: 3, Kind: KindPlan, Data: json.RawMessage(`7`)}, // applied
-		{Seq: 4, Kind: KindMRT, Data: nil},                   // tombstone of an absent key
+		{Seq: 4, Kind: KindMRT, Data: nil},                   // no data, absent key
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -421,10 +391,6 @@ func TestEventKeyAndSplit(t *testing.T) {
 		ev := Event{Site: tc.site, Kind: tc.kind}
 		if ev.Key() != tc.key {
 			t.Errorf("key(%q,%q) = %q", tc.site, tc.kind, ev.Key())
-		}
-		site, kind := splitKey(tc.key)
-		if site != tc.site || kind != tc.kind {
-			t.Errorf("split(%q) = %q, %q", tc.key, site, kind)
 		}
 	}
 }

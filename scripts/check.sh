@@ -17,20 +17,9 @@ fi
 echo ">> go build ./..."
 go build ./...
 
-# check_gate REGEX PKG...: every |-separated name in a -run gate below
-# must match at least one test, benchmark or fuzz target of PKG..., so
-# a deleted or renamed test cannot silently empty a gate.
-check_gate() {
-    regex="$1"
-    shift
-    listed=$(go test -list '.*' "$@" | grep -E '^(Test|Benchmark|Fuzz|Example)')
-    for name in $(echo "$regex" | tr '|' ' '); do
-        if ! echo "$listed" | grep -qE "$name"; then
-            echo "check: FAIL — gate name $name matches no test in $*" >&2
-            exit 1
-        fi
-    done
-}
+# Every -run gate below goes through scripts/gates.sh, which holds the
+# suite regexes and fails a gate whose name matches no test, so a
+# deleted or renamed test cannot silently empty it.
 
 echo ">> go vet ./..."
 go vet ./...
@@ -50,21 +39,21 @@ go run ./cmd/imcf-lint ./...
 # internal/controller/alloc_test.go). Run outside -race (the detector's
 # instrumentation allocates and would mask regressions).
 echo ">> go test -run AllocsTrace ./internal/metrics ./internal/journal ./internal/controller"
-check_gate AllocsTrace ./internal/metrics ./internal/journal ./internal/controller
+./scripts/gates.sh check AllocsTrace ./internal/metrics ./internal/journal ./internal/controller
 go test -run AllocsTrace -count=1 ./internal/metrics ./internal/journal ./internal/controller
 
 # Store append-path allocation gate: one Put must stay within its small
 # pooled-scratch budget (see internal/store/alloc_test.go). Also
 # outside -race for the same reason.
 echo ">> go test -run StorePutAllocs ./internal/store"
-check_gate StorePutAllocs ./internal/store
+./scripts/gates.sh check StorePutAllocs ./internal/store
 go test -run StorePutAllocs -count=1 ./internal/store
 
 # Logging disabled-path allocation gate: a level-gated or globally
 # disabled log call on the serving path must not allocate at all
 # (see internal/obs/obs_test.go). Also outside -race.
 echo ">> go test -run AllocsObs ./internal/obs"
-check_gate AllocsObs ./internal/obs
+./scripts/gates.sh check AllocsObs ./internal/obs
 go test -run AllocsObs -count=1 ./internal/obs
 
 # Crash suite: kill-at-every-failpoint recovery for the store and the
@@ -75,16 +64,13 @@ go test -run AllocsObs -count=1 ./internal/obs
 # so a durability regression fails fast with the failpoint identified,
 # before the slower race cycle repeats it.
 echo ">> crash suite (kill-at-every-failpoint)"
-crash_gate='CrashRecoveryEveryFailpoint|CompactionRenameDurability|FailedCompactionLeavesCleanErrors|JournalCrashRecoveryEveryFailpoint|DaemonDegradedMode|FleetCrashSharedWAL|RecorderCrashEveryFailpoint|DaemonDegradedFlightBundleCorrelation'
-check_gate "$crash_gate" ./internal/store ./internal/persistence ./internal/daemon ./internal/obs
-go test -count=1 -run "$crash_gate" \
-    ./internal/store ./internal/persistence ./internal/daemon ./internal/obs
+./scripts/gates.sh crash
 
 # Degraded-mode tests in random order, twice over: the degraded gauges
 # and counters are process-global, so a test that leaks one into the
 # next, or assumes one starts at zero, fails here.
 echo ">> degraded-mode tests, shuffled"
-check_gate Degraded ./internal/daemon
+./scripts/gates.sh check Degraded ./internal/daemon
 go test -count=2 -shuffle=on -run Degraded ./internal/daemon
 
 # The fleet and metrics packages, twice over in random order: their
@@ -98,14 +84,19 @@ go test -count=2 -shuffle=on ./internal/fleet ./internal/metrics
 # §13) — one home hosted solo and hosted as a fleet tenant among noisy
 # neighbors must produce bit-identical journal hashes, event streams,
 # persisted decision logs and recovered store state, at 1 and 8 fleet
-# workers. StreamEquivalence is the delta-sync gate (DESIGN.md §16): a
-# mirror maintained over the stream protocol — through a chaos proxy
-# dropping every other delta poll, and across a daemon restart — must
-# stay bit-identical to one rebuilt by polling, for every fleet tenant.
+# workers.
 echo ">> tenant-equivalence harness"
-equiv_gate='FleetTenantEquivalence|ObsEquivalence|StreamEquivalence'
-check_gate "$equiv_gate" ./internal/daemon
+equiv_gate='FleetTenantEquivalence|ObsEquivalence'
+./scripts/gates.sh check "$equiv_gate" ./internal/daemon
 go test -count=1 -run "$equiv_gate" ./internal/daemon
+
+# Stream suite, the delta-sync gate (DESIGN.md §16): a mirror maintained
+# over the stream protocol — through a chaos proxy dropping every other
+# delta poll, and across a daemon restart — must stay bit-identical to
+# one rebuilt by polling, for every fleet tenant; and SSE deltas must
+# cross the cloud relay's proxy while the connection is live.
+echo ">> stream suite"
+./scripts/gates.sh stream
 
 echo ">> go test -race ./..."
 go test -race ./...
