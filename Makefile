@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint bench fleet-suite metrics-smoke explain-smoke crash-suite obs-smoke stream-suite
+.PHONY: all build vet test race check lint bench fleet-suite metrics-smoke explain-smoke crash-suite obs-smoke stream-suite ep-suite
 
 all: check
 
@@ -31,7 +31,7 @@ lint:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
-# The -run regexes of the three suites below live in scripts/gates.sh,
+# The -run regexes of the four suites below live in scripts/gates.sh,
 # shared with check, which also fails a suite whose gate names match no
 # test.
 #
@@ -57,6 +57,13 @@ crash-suite:
 # relay's proxy. Part of check.
 stream-suite:
 	./scripts/gates.sh stream -v
+
+# ep-suite reruns the Energy Planner's proof obligations in isolation,
+# verbosely: the controller/sim verdict cross-check, the determinism
+# ledger hashes and the warm controller step's allocation budget. Part
+# of check.
+ep-suite:
+	./scripts/gates.sh ep -v
 
 # obs-smoke proves the flight recorder end to end: the degraded-flip
 # e2e (a disk-full tenant produces a correlated bundle), then a live

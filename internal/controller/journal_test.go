@@ -15,7 +15,7 @@ import (
 )
 
 // TestFlipSentinelsMatchCore pins the numeric correspondence the
-// stepRecorder relies on when passing flip iterations through without
+// journal.Recorder relies on when passing flip iterations through without
 // translation.
 func TestFlipSentinelsMatchCore(t *testing.T) {
 	if core.FlipNever != journal.FlipNever {

@@ -117,7 +117,7 @@ func TestDaemonE2E(t *testing.T) {
 	}
 
 	// The error cycle must not have broken the accounting invariant:
-	// finishStep records its rules even when actuation fails.
+	// the apply stage records its rules even when actuation fails.
 	fams = scrapeMetrics(t, obs+"/metrics")
 	if fams["imcf_rules_executed_total"]+fams["imcf_rules_dropped_total"] != fams["imcf_rules_considered_total"] {
 		t.Fatal("rule accounting inconsistent after error cycle")

@@ -7,9 +7,9 @@
 // persisted dump (cmd/imcf-explain over persistence's journal log).
 //
 // Events are produced by core's DecisionRecorder hook (the live
-// controller and the simulator install adapters that enrich the
-// planner's index-based callbacks with rule identity, slot and trace
-// ID) and land in a bounded ring of fixed-size blocks, each allocated
+// controller and the simulator each install a Recorder that enriches
+// the planner's index-based callbacks with rule identity, slot and
+// trace ID) and land in a bounded ring of fixed-size blocks, each allocated
 // the first time the ring reaches it, so a quiet journal holds only the
 // blocks its events fill. Appending is a mutex-guarded slot assignment —
 // one block allocation per blockLen events until the ring reaches its

@@ -10,12 +10,14 @@ package metrics
 // Naming follows Prometheus conventions: `imcf_` prefix, `_total`
 // suffix on integer counters, base units in the name (seconds, kwh).
 var (
-	// PlannerWindowSeconds is the end-to-end latency of planning one
-	// decision window: problem construction plus the EP search. The
-	// controller observes one sample per cycle; the simulator one per
-	// plan window.
+	// PlannerWindowSeconds is planner time, the paper's F_T, for one
+	// decision. The simulator observes one sample per EP plan window
+	// (window build plus search) and one per baseline slot; the
+	// controller one per cycle, around its EP, IFTTT or manual verdict.
+	// Sensing, actuation, journaling and publishing are not in it: a
+	// controller cycle's whole time is its controller.step span.
 	PlannerWindowSeconds = NewHistogram("imcf_planner_window_seconds",
-		"Latency of planning one decision window (problem build + EP search).",
+		"Planner time of one decision: an EP window or baseline slot in the simulator, one cycle's verdict in the controller.",
 		DurationBuckets)
 
 	// PlannerPlans counts planner invocations (EP searches).

@@ -57,7 +57,7 @@ type collector interface {
 // concurrent use; registration is GetOrCreate — registering a name that
 // already exists returns the existing collector, so independent
 // packages may share a family (e.g. the controller and the simulator
-// both observe imcf_planner_window_seconds).
+// both observe planner time in imcf_planner_window_seconds).
 type Registry struct {
 	mu     sync.RWMutex
 	byName map[string]collector

@@ -56,6 +56,14 @@ echo ">> go test -run AllocsObs ./internal/obs"
 ./scripts/gates.sh check AllocsObs ./internal/obs
 go test -run AllocsObs -count=1 ./internal/obs
 
+# Energy Planner suite: the controller step and the sim replay must
+# journal the same verdicts for the same budget and planner seed, the
+# replay's determinism hashes must hold, and the warm controller step
+# must stay within its allocation budget (DESIGN.md §4). Outside -race,
+# whose instrumentation allocates.
+echo ">> EP suite"
+./scripts/gates.sh ep
+
 # Crash suite: kill-at-every-failpoint recovery for the store and the
 # decision journal, the multi-tenant fleet crash suite (tenants as
 # namespaces of one shared WAL — a crash mid-fleet-cycle must leave
