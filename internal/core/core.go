@@ -217,6 +217,21 @@ func DefaultConfig() Config {
 	return Config{K: 4, MaxIter: 100, Init: InitAllOn, Heuristic: HillClimb}
 }
 
+// WithDefaults fills K and Init from DefaultConfig where they are zero,
+// field by field, so a configuration that sets only its seed or one
+// option keeps it. A zero Heuristic already means HillClimb. MaxIter is
+// left as it is: each caller gives zero its own meaning.
+func (c Config) WithDefaults() Config {
+	d := DefaultConfig()
+	if c.K == 0 {
+		c.K = d.K
+	}
+	if c.Init == 0 {
+		c.Init = d.Init
+	}
+	return c
+}
+
 // Planner runs the EP search. It is reusable across slots and carries a
 // deterministic RNG; it is not safe for concurrent use (create one
 // planner per goroutine).
