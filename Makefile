@@ -22,9 +22,9 @@ check:
 	./scripts/check.sh
 
 # lint runs the project-native static analyzer (see DESIGN.md §9 and
-# §14). Findings not in lint.baseline fail the build; stale baseline
-# entries and stale //imcf:allow waivers fail it too. -timing prints a
-# per-rule cost breakdown.
+# §14). Any finding not excused by an //imcf:allow waiver fails the
+# build; a stale waiver fails it too. -timing prints a per-rule cost
+# breakdown.
 lint:
 	$(GO) run ./cmd/imcf-lint -timing ./...
 

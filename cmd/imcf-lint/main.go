@@ -12,10 +12,10 @@
 // module-wide by design). Rules fan out over -parallel workers;
 // -timing prints a per-rule cost breakdown.
 //
-// Exit status: 0 when clean, 1 when findings remain after baseline
-// filtering, 2 on usage, load or baseline errors — including stale
-// baseline entries for files that no longer exist, and //imcf:allow
-// waivers that suppress no findings.
+// An //imcf:allow waiver is the one way to suppress a finding.
+//
+// Exit status: 0 when clean, 1 when findings remain, 2 on usage or
+// load errors and on //imcf:allow waivers that suppress no findings.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 
 	"github.com/imcf/imcf/internal/analysis"
@@ -38,13 +37,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("imcf-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		root          = fs.String("C", ".", "module root directory to analyze")
-		jsonOut       = fs.Bool("json", false, "emit findings as JSON")
-		baselinePath  = fs.String("baseline", "lint.baseline", "baseline file, relative to the module root (absent file = empty baseline)")
-		writeBaseline = fs.Bool("write-baseline", false, "write the current findings to the baseline file and exit 0")
-		listRules     = fs.Bool("list", false, "list the rules and exit")
-		parallel      = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for rule×package units")
-		timing        = fs.Bool("timing", false, "print per-rule execution time")
+		root      = fs.String("C", ".", "module root directory to analyze")
+		jsonOut   = fs.Bool("json", false, "emit findings as JSON")
+		listRules = fs.Bool("list", false, "list the rules and exit")
+		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for rule×package units")
+		timing    = fs.Bool("timing", false, "print per-rule execution time")
 	)
 	enabled := make(map[string]*bool, len(analysis.AllRules()))
 	for _, r := range analysis.AllRules() {
@@ -90,47 +87,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	blPath := *baselinePath
-	if !filepath.IsAbs(blPath) {
-		blPath = filepath.Join(mod.Root, blPath)
-	}
-	if *writeBaseline {
-		if err := os.WriteFile(blPath, []byte(analysis.FormatBaseline(findings)), 0o644); err != nil {
-			fmt.Fprintf(stderr, "imcf-lint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "imcf-lint: wrote %d finding(s) to %s\n", len(findings), blPath)
-		return 0
-	}
-	baseline, err := analysis.LoadBaseline(blPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "imcf-lint: %v\n", err)
-		return 2
-	}
-	if stale := baseline.Stale(mod.Root); len(stale) > 0 {
-		for _, f := range stale {
-			fmt.Fprintf(stderr, "imcf-lint: stale baseline entry: %s no longer exists\n", f)
-		}
-		fmt.Fprintf(stderr, "imcf-lint: regenerate the baseline with -write-baseline\n")
-		return 2
-	}
 	// A waiver that suppresses nothing has outlived the code it
-	// excuses: like a stale baseline entry, it must be deleted, not
-	// left to silence a future finding nobody audited.
+	// excuses: it must be deleted, not left to silence a future
+	// finding nobody audited.
 	if stale := rep.StaleWaivers(ruleNames); len(stale) > 0 {
 		for _, w := range stale {
 			fmt.Fprintf(stderr, "imcf-lint: stale waiver: %s suppresses no findings; delete it\n", w)
 		}
 		return 2
 	}
-	remaining := baseline.Filter(findings)
 
 	if *jsonOut {
 		out := struct {
-			Module     string             `json:"module"`
-			Findings   []analysis.Finding `json:"findings"`
-			Suppressed int                `json:"suppressed"`
-		}{mod.Path, remaining, len(findings) - len(remaining)}
+			Module   string             `json:"module"`
+			Findings []analysis.Finding `json:"findings"`
+		}{mod.Path, findings}
 		if out.Findings == nil {
 			out.Findings = []analysis.Finding{}
 		}
@@ -141,14 +112,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		for _, f := range remaining {
+		for _, f := range findings {
 			fmt.Fprintln(stdout, f.String())
 		}
-		if len(remaining) > 0 {
-			fmt.Fprintf(stderr, "imcf-lint: %d finding(s)\n", len(remaining))
+		if len(findings) > 0 {
+			fmt.Fprintf(stderr, "imcf-lint: %d finding(s)\n", len(findings))
 		}
 	}
-	if len(remaining) > 0 {
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0

@@ -59,7 +59,7 @@ func main() {
 		mrtPath      = flag.String("mrt", "", "Meta-Rule Table file in the textual format (overrides the residence's)")
 		persist      = flag.String("persist", "", "directory for measurement persistence (empty disables)")
 		mode         = flag.String("mode", "EP", "planning mode: EP, IFTTT or manual")
-		journalCap   = flag.Int("journal-cap", daemon.DefaultJournalCap, "decision journal ring capacity (negative disables journaling)")
+		journalCap   = flag.Int("journal-cap", daemon.DefaultJournalCap, "decision journal ring capacity per tenant (0 means the default; negative is rejected)")
 		journalSync  = flag.Int("journal-sync", 1, "fsync the decision journal every N events (negative: only on shutdown)")
 		tenants      = flag.String("tenants", "", "comma-separated home IDs for multi-tenant hosting (empty: one single-home tenant)")
 		fleetWorkers = flag.Int("fleet-workers", 1, "tenants planning concurrently per fleet cycle")

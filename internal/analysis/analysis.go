@@ -33,7 +33,7 @@ import (
 	"time"
 )
 
-// Rule names, as used by waiver comments, enable flags and baselines.
+// Rule names, as used by waiver comments and enable flags.
 const (
 	RuleNoalloc         = "noalloc"
 	RuleDeterminism     = "determinism"
@@ -199,7 +199,7 @@ func (r *Reporter) indexWaivers(f *ast.File) {
 }
 
 // relFile converts an absolute file name to the module-relative form
-// used in findings and baselines.
+// used in findings.
 func (r *Reporter) relFile(filename string) string {
 	if rel, err := filepath.Rel(r.root, filename); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)

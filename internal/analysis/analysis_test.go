@@ -80,7 +80,7 @@ func TestRuleDocs(t *testing.T) {
 
 // TestRealModuleClean is the acceptance criterion as a regression test:
 // the repository's own tree must lint clean — every real finding fixed
-// or explicitly waived, none baselined.
+// or explicitly waived.
 func TestRealModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the full module via the source importer is slow")

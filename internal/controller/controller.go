@@ -85,9 +85,11 @@ func (m Mode) String() string {
 type Config struct {
 	// Residence is the smart space the controller manages.
 	Residence *home.Residence
-	// Store persists the MRT and summaries; nil disables persistence.
-	// Any store.Adapter backend works: the durable group-commit WAL DB
-	// or the in-memory backend.
+	// Store persists the MRT under mrtStoreKey: New loads it from
+	// there, or writes the residence's MRT when the key is absent, and
+	// SetMRT writes each replacement. nil disables persistence. Any
+	// store.Adapter backend works: the durable group-commit WAL DB or
+	// the in-memory backend.
 	Store store.Adapter
 	// Clock drives scheduling; nil means the wall clock.
 	Clock simclock.Clock
@@ -101,8 +103,6 @@ type Config struct {
 	// CarryCapHours bounds the ledger to this many mean-budget hours;
 	// zero means core.DefaultCarryCapHours.
 	CarryCapHours float64
-	// ErrorModel overrides the convenience-error model.
-	ErrorModel rules.ErrorModel
 	// Binding actuates devices; nil means a DirectBinding over the
 	// controller's registry.
 	Binding Binding
@@ -257,9 +257,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Planner.MaxIter == 0 {
 		cfg.Planner.MaxIter = core.DefaultConfig().MaxIter
 	}
-	if cfg.ErrorModel == (rules.ErrorModel{}) {
-		cfg.ErrorModel = rules.DefaultErrorModel()
-	}
 	ledger, err := core.NewLedger(cfg.WeeklyBudget.KWh()/(7*24), cfg.CarryCapHours)
 	if err != nil {
 		return nil, err
@@ -276,7 +273,7 @@ func New(cfg Config) (*Controller, error) {
 		binding:     cfg.Binding,
 		planner:     planner,
 		ledger:      ledger,
-		model:       cfg.ErrorModel,
+		model:       rules.DefaultErrorModel(),
 		clock:       cfg.Clock,
 		mrt:         cfg.Residence.MRT,
 		ownerErr:    make(map[string]float64),

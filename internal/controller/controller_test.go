@@ -232,8 +232,8 @@ func TestNewKeepsPlannerSeed(t *testing.T) {
 		want func(*core.Config)
 	}{
 		{core.Config{Seed: 1}, func(c *core.Config) { c.Seed = 1 }},
-		{core.Config{K: 2, KeepZeroGain: true, DisableRepair: true},
-			func(c *core.Config) { c.K, c.KeepZeroGain, c.DisableRepair = 2, true, true }},
+		{core.Config{K: 2, KeepZeroGain: true},
+			func(c *core.Config) { c.K, c.KeepZeroGain = 2, true }},
 		{core.Config{Heuristic: core.Anneal, Init: core.InitRandom},
 			func(c *core.Config) { c.Heuristic, c.Init = core.Anneal, core.InitRandom }},
 	} {

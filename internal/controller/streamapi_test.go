@@ -209,7 +209,7 @@ func TestStreamSSEUnresumableIs409(t *testing.T) {
 	}
 }
 
-func TestFinishStepCoalescesFirewallProgramming(t *testing.T) {
+func TestApplyCoalescesFirewallProgramming(t *testing.T) {
 	fw := firewall.New()
 	c, _ := apiServer(t, func(cfg *Config) { cfg.Firewall = fw })
 	report, err := c.Step()

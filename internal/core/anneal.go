@@ -97,7 +97,7 @@ func (pl *Planner) anneal(p Problem) (Solution, Eval) {
 
 	// Recompute exactly to shed incremental float drift.
 	bestEval = Evaluate(p, best)
-	if !pl.cfg.DisableRepair && !bestEval.Feasible(p.Budget) {
+	if !bestEval.Feasible(p.Budget) {
 		bestEval = pl.repairFeasible(p, best, bestEval)
 	}
 	return best, bestEval

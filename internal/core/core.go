@@ -184,10 +184,6 @@ type Config struct {
 	// domain-specific operators the paper's EP exploits. Set true to
 	// disable the pruning (used by ablations).
 	KeepZeroGain bool
-	// DisableRepair skips the final greedy feasibility repair, leaving
-	// exactly the paper's Algorithm 1 acceptance loop (used by
-	// ablations).
-	DisableRepair bool
 }
 
 // Validate reports whether the configuration is usable.
@@ -425,7 +421,7 @@ func (pl *Planner) hillClimb(p Problem) (Solution, Eval) {
 	// Recompute exactly: the incremental updates accumulate float
 	// rounding over many iterations.
 	bestEval = Evaluate(p, best)
-	if !pl.cfg.DisableRepair && !bestEval.Feasible(p.Budget) {
+	if !bestEval.Feasible(p.Budget) {
 		bestEval = pl.repairFeasible(p, best, bestEval)
 	}
 	return best, bestEval

@@ -172,16 +172,6 @@ func TestRepairGuaranteesFeasibility(t *testing.T) {
 	if s[2] {
 		t.Errorf("repair kept the least valuable rule: %v", s)
 	}
-
-	// DisableRepair leaves Algorithm 1's raw outcome.
-	pl = newPlanner(t, func(c *Config) { c.MaxIter = 0; c.DisableRepair = true })
-	_, e, err = pl.Plan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Feasible(p.Budget) {
-		t.Errorf("with repair disabled and zero iterations, all-1s should stay infeasible: %+v", e)
-	}
 }
 
 func TestZeroBudget(t *testing.T) {

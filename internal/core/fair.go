@@ -130,7 +130,7 @@ func (pl *Planner) PlanFair(p Problem, group []int, nGroups int, offsets []float
 
 	// Recompute exactly (offset-free) and repair feasibility if needed.
 	bestEval = EvaluateGrouped(p, best, group, nGroups)
-	if !pl.cfg.DisableRepair && !bestEval.Feasible(p.Budget) {
+	if !bestEval.Feasible(p.Budget) {
 		bestEval.Eval = pl.repairFeasible(p, best, bestEval.Eval)
 		bestEval = EvaluateGrouped(p, best, group, nGroups)
 	}

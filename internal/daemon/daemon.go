@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,7 +101,8 @@ type Options struct {
 	// inject failing bindings to exercise health reporting).
 	Binding controller.Binding
 	// JournalCap bounds each tenant's decision-provenance journal ring;
-	// 0 means DefaultJournalCap, negative disables journaling entirely.
+	// 0 means DefaultJournalCap. Every tenant journals; a negative
+	// capacity is rejected.
 	JournalCap int
 	// JournalSyncEvery sets the decision journal's fsync cadence: every
 	// N events, 0 for every event, negative for only on shutdown
@@ -162,6 +164,9 @@ type Daemon struct {
 func New(opts Options) (_ *Daemon, err error) {
 	if opts.StreamRingCap < 0 {
 		return nil, fmt.Errorf("daemon: negative stream ring capacity %d", opts.StreamRingCap)
+	}
+	if opts.JournalCap < 0 {
+		return nil, fmt.Errorf("daemon: negative journal capacity %d", opts.JournalCap)
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -305,10 +310,8 @@ func New(opts Options) (_ *Daemon, err error) {
 		mux.Handle("GET /debug/spans", metrics.DefaultTracer().Handler())
 		mux.Handle("GET /debug/exemplars", metrics.ExemplarHandler())
 		mux.Handle("GET /debug/logs", obs.LogsHandler(obs.DefaultHandler().Ring()))
-		if opts.JournalCap >= 0 {
-			mux.HandleFunc("GET /debug/decisions", d.decisionsHandler)
-			mux.HandleFunc("GET /debug/trace/{id}", d.traceHandler)
-		}
+		mux.HandleFunc("GET /debug/decisions", d.decisionsHandler)
+		mux.HandleFunc("GET /debug/trace/{id}", d.traceHandler)
 		d.metricSrv = newHTTPServer(mux)
 	}
 	if opts.DebugAddr != "" {
@@ -365,12 +368,14 @@ func newHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
-// mergedDecisions collects events across every tenant's journal in
-// tenant-ID order, stamping the serving-time Tenant decoration onto the
-// copies. The per-tenant rings themselves stay undecorated — identical
-// to what a single-home daemon would hold, which is what the
-// equivalence harness compares. Filter.Limit applies to the merged
-// stream; Filter.Tenant selects one home.
+// mergedDecisions collects events across every tenant's journal,
+// stamping the serving-time Tenant decoration onto the copies. The
+// per-tenant rings themselves stay undecorated — identical to what a
+// single-home daemon would hold, which is what the equivalence harness
+// compares. The merged stream is ordered by slot, ties in tenant-ID
+// then sequence order, so Filter.Limit keeps the newest events of
+// every home rather than the tail of the last one; Filter.Tenant
+// selects one home.
 func (d *Daemon) mergedDecisions(f journal.Filter) []journal.Event {
 	limit := f.Limit
 	tenantFilter := f.Tenant
@@ -378,7 +383,7 @@ func (d *Daemon) mergedDecisions(f journal.Filter) []journal.Event {
 	f.Tenant = ""
 	out := []journal.Event{}
 	for _, t := range d.tenants {
-		if t.journal == nil || (tenantFilter != "" && t.id != tenantFilter) {
+		if tenantFilter != "" && t.id != tenantFilter {
 			continue
 		}
 		evs := t.journal.Recent(f)
@@ -387,6 +392,7 @@ func (d *Daemon) mergedDecisions(f journal.Filter) []journal.Event {
 		}
 		out = append(out, evs...)
 	}
+	slices.SortStableFunc(out, func(a, b journal.Event) int { return a.Slot.Compare(b.Slot) })
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]
 	}

@@ -1,8 +1,10 @@
 package daemon
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 
@@ -120,27 +122,71 @@ func TestDaemonJournalEndpointsAndRestart(t *testing.T) {
 	}
 }
 
-// TestDaemonJournalDisabled pins that JournalCap < 0 removes the
-// journal and its endpoints.
-func TestDaemonJournalDisabled(t *testing.T) {
+// TestDaemonLimitKeepsNewestAcrossTenants pins that a limited
+// process-wide decision query returns the newest events of every
+// tenant, not the tail of whichever tenant sorts last by ID: the
+// merged stream is ordered by slot before the limit applies, with
+// ties in tenant-ID order.
+func TestDaemonLimitKeepsNewestAcrossTenants(t *testing.T) {
+	clock := simclock.NewSimClock(time.Date(2021, time.April, 12, 0, 0, 0, 0, time.UTC))
 	d, err := New(Options{
-		Addr:            "127.0.0.1:0",
-		MetricsAddr:     "127.0.0.1:0",
-		Residence:       "flat",
+		Addr:        "127.0.0.1:0",
+		MetricsAddr: "127.0.0.1:0",
+		Tenants: []TenantSpec{
+			{ID: "h1", Residence: "flat", Seed: 1},
+			{ID: "h2", Residence: "flat", Seed: 2},
+		},
 		WeeklyBudgetKWh: 165,
-		JournalCap:      -1,
+		Clock:           clock,
 		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //nolint:errcheck
+	defer d.Close() //nolint:errcheck // test cleanup
 	d.Start()
-	if d.def.journal != nil {
-		t.Fatal("JournalCap -1 still built a journal")
+	for cycle := 0; cycle < 3; cycle++ {
+		if err := d.Fleet().Cycle(context.Background()); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		clock.Advance(time.Hour)
 	}
-	if code := getStatus(t, "http://"+d.MetricsAddr()+"/debug/decisions"); code != http.StatusNotFound {
-		t.Fatalf("/debug/decisions with journaling disabled = %d, want 404", code)
+
+	base := "http://" + d.MetricsAddr() + "/debug/decisions"
+	all := getDecisions(t, base)
+	for i := 1; i < len(all); i++ {
+		if all[i].Slot.Before(all[i-1].Slot) {
+			t.Errorf("merged events out of slot order at %d: %v after %v", i, all[i].Slot, all[i-1].Slot)
+			break
+		}
+		if all[i].Slot.Equal(all[i-1].Slot) && all[i].Tenant < all[i-1].Tenant {
+			t.Errorf("slot tie at %d not in tenant-ID order: %s after %s", i, all[i].Tenant, all[i-1].Tenant)
+			break
+		}
+	}
+	// Each flat home journals one verdict per night-time step, so the
+	// newest slot holds one event per tenant.
+	const limit = 2
+	if len(all) < 2*limit {
+		t.Fatalf("only %d events journaled across both tenants", len(all))
+	}
+	got := getDecisions(t, base+"?limit="+strconv.Itoa(limit))
+	if len(got) != limit {
+		t.Fatalf("limit=%d returned %d events", limit, len(got))
+	}
+	newest := all[len(all)-1].Slot
+	tenants := map[string]bool{}
+	for i, ev := range got {
+		if want := all[len(all)-limit+i]; ev.Tenant != want.Tenant || ev.Seq != want.Seq {
+			t.Errorf("limited event %d = %s#%d, want %s#%d", i, ev.Tenant, ev.Seq, want.Tenant, want.Seq)
+		}
+		if !ev.Slot.Equal(newest) {
+			t.Errorf("limited event %d from slot %v, want the newest slot %v", i, ev.Slot, newest)
+		}
+		tenants[ev.Tenant] = true
+	}
+	if !tenants["h1"] || !tenants["h2"] {
+		t.Errorf("limit=%d kept tenants %v, want both h1 and h2", limit, tenants)
 	}
 }
 

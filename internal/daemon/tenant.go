@@ -121,10 +121,10 @@ type Tenant struct {
 	id      string
 	ctrl    *controller.Controller
 	health  *metrics.Health
-	journal *journal.Journal // nil when journaling is disabled
-	store   store.Adapter    // tenant-scoped view; nil without a store
-	api     http.Handler     // access-log- and degrade-wrapped REST API
-	strip   http.Handler     // api behind the /t/<id> prefix strip
+	journal *journal.Journal
+	store   store.Adapter // tenant-scoped view; nil without a store
+	api     http.Handler  // access-log- and degrade-wrapped REST API
+	strip   http.Handler  // api behind the /t/<id> prefix strip
 	logf    func(string, ...any)
 	clock   simclock.Clock
 	flight  func(reason, trace string) // degraded-entry flight-recorder hook; nil without a recorder
@@ -136,8 +136,7 @@ func (t *Tenant) ID() string { return t.id }
 // Controller exposes the tenant's Local Controller.
 func (t *Tenant) Controller() *controller.Controller { return t.ctrl }
 
-// Journal exposes the tenant's decision-provenance journal, or nil
-// when journaling is disabled.
+// Journal exposes the tenant's decision-provenance journal.
 func (t *Tenant) Journal() *journal.Journal { return t.journal }
 
 // Health exposes the tenant's health state.
@@ -213,13 +212,7 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 		t.logf("tenant %s: loaded %d meta-rules from %s", t.id, len(mrt.Rules), opts.MRTPath)
 	}
 
-	if opts.JournalCap >= 0 {
-		jcap := opts.JournalCap
-		if jcap == 0 {
-			jcap = DefaultJournalCap
-		}
-		t.journal = journal.New(jcap)
-	}
+	t.journal = journal.New(opts.JournalCap) // 0 means DefaultJournalCap
 
 	budget := spec.WeeklyBudgetKWh
 	if budget == 0 {
@@ -258,25 +251,23 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 		cfg.Persistence = svc
 		t.logf("tenant %s: recording measurements to %s", t.id, dir)
 
-		if t.journal != nil {
-			jl, err := persistence.OpenJournalOpts(dir,
-				persistence.JournalOptions{SyncEvery: opts.JournalSyncEvery, FS: opts.FS})
-			if err != nil {
-				return nil, err
-			}
-			d.closers = append(d.closers, jl.Close)
-			// Replay first so a restarted daemon can still explain
-			// decisions made before the restart, then sink so new
-			// verdicts append to the same log.
-			n, err := jl.Replay(t.journal.Preload)
-			if err != nil {
-				return nil, fmt.Errorf("daemon: replay decision journal: %w", err)
-			}
-			if n > 0 {
-				t.logf("tenant %s: replayed %d journaled decisions from %s", t.id, n, jl.Path())
-			}
-			t.journal.SetSink(jl)
+		jl, err := persistence.OpenJournalOpts(dir,
+			persistence.JournalOptions{SyncEvery: opts.JournalSyncEvery, FS: opts.FS})
+		if err != nil {
+			return nil, err
 		}
+		d.closers = append(d.closers, jl.Close)
+		// Replay first so a restarted daemon can still explain
+		// decisions made before the restart, then sink so new
+		// verdicts append to the same log.
+		n, err := jl.Replay(t.journal.Preload)
+		if err != nil {
+			return nil, fmt.Errorf("daemon: replay decision journal: %w", err)
+		}
+		if n > 0 {
+			t.logf("tenant %s: replayed %d journaled decisions from %s", t.id, n, jl.Path())
+		}
+		t.journal.SetSink(jl)
 	}
 
 	if opts.Emulate {

@@ -37,9 +37,13 @@ import (
 // well-formed iff it holds a parseable MetaName file, written last.
 const MetaName = "meta.json"
 
-// DefaultMaxRecords bounds how many log records and journal events a
-// bundle section retains.
-const DefaultMaxRecords = 1000
+// maxRecords bounds how many log records and journal events a bundle
+// section retains: the newest ones.
+const maxRecords = 1000
+
+// minInterval rate-limits bundles per (reason, tenant), so a flapping
+// tenant cannot fill the disk.
+const minInterval = time.Minute
 
 // ErrSuppressed reports a Trigger dropped by the per-(reason, tenant)
 // rate limit.
@@ -86,13 +90,6 @@ type RecorderOptions struct {
 	// limiting — the daemon passes its clock so simulated time flows
 	// through. Required.
 	Now func() time.Time
-	// MinInterval rate-limits bundles per (reason, tenant): a flapping
-	// tenant cannot fill the disk. 0 means 1 minute; negative disables
-	// the limit.
-	MinInterval time.Duration
-	// MaxRecords bounds the log and journal sections; 0 means
-	// DefaultMaxRecords.
-	MaxRecords int
 	// Sources tap the live process.
 	Sources Sources
 }
@@ -100,12 +97,10 @@ type RecorderOptions struct {
 // Recorder writes diagnostic bundles. It is safe for concurrent use;
 // concurrent triggers serialize.
 type Recorder struct {
-	dir         string
-	fs          faultfs.FS
-	now         func() time.Time
-	minInterval time.Duration
-	maxRecords  int
-	src         Sources
+	dir string
+	fs  faultfs.FS
+	now func() time.Time
+	src Sources
 
 	mu   sync.Mutex
 	last map[string]time.Time
@@ -124,22 +119,12 @@ func NewRecorder(opts RecorderOptions) (*Recorder, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
-	minInterval := opts.MinInterval
-	if minInterval == 0 {
-		minInterval = time.Minute
-	}
-	maxRecords := opts.MaxRecords
-	if maxRecords <= 0 {
-		maxRecords = DefaultMaxRecords
-	}
 	return &Recorder{
-		dir:         opts.Dir,
-		fs:          fsys,
-		now:         opts.Now,
-		minInterval: minInterval,
-		maxRecords:  maxRecords,
-		src:         opts.Sources,
-		last:        make(map[string]time.Time),
+		dir:  opts.Dir,
+		fs:   fsys,
+		now:  opts.Now,
+		src:  opts.Sources,
+		last: make(map[string]time.Time),
 	}, nil
 }
 
@@ -173,7 +158,7 @@ func (r *Recorder) Trigger(reason, tenant, trace string) (string, error) {
 
 	r.mu.Lock()
 	key := reason + "\x00" + tenant
-	if last, ok := r.last[key]; ok && r.minInterval > 0 && now.Sub(last) < r.minInterval {
+	if last, ok := r.last[key]; ok && now.Sub(last) < minInterval {
 		r.mu.Unlock()
 		bundleSuppressed.Inc()
 		return "", ErrSuppressed
@@ -219,8 +204,8 @@ func (r *Recorder) write(dir, reason, tenant, trace string, now time.Time) error
 
 	if r.src.Logs != nil {
 		recs := r.src.Logs(tenant, trace)
-		if len(recs) > r.maxRecords {
-			recs = recs[len(recs)-r.maxRecords:]
+		if len(recs) > maxRecords {
+			recs = recs[len(recs)-maxRecords:]
 		}
 		data, count, err := marshalLines(recs)
 		if err != nil {
@@ -242,8 +227,8 @@ func (r *Recorder) write(dir, reason, tenant, trace string, now time.Time) error
 	}
 	if r.src.Journal != nil {
 		evs := r.src.Journal(tenant, trace)
-		if len(evs) > r.maxRecords {
-			evs = evs[len(evs)-r.maxRecords:]
+		if len(evs) > maxRecords {
+			evs = evs[len(evs)-maxRecords:]
 		}
 		data, count, err := marshalLines(evs)
 		if err != nil {

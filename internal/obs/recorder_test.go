@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"path/filepath"
 	"strings"
@@ -120,17 +121,17 @@ func TestRecorderRateLimit(t *testing.T) {
 	}
 }
 
-func TestRecorderMaxRecordsKeepsNewest(t *testing.T) {
+func TestRecorderKeepsNewestRecords(t *testing.T) {
 	clock := newTestClock()
 	src := testSources()
 	src.Logs = func(tenant, trace string) []Record {
-		recs := make([]Record, 10)
+		recs := make([]Record, maxRecords+5)
 		for i := range recs {
-			recs[i] = Record{Msg: string(rune('a' + i))}
+			recs[i] = Record{Msg: fmt.Sprintf("m%04d", i)}
 		}
 		return recs
 	}
-	r, err := NewRecorder(RecorderOptions{Dir: t.TempDir(), Now: clock.now, MaxRecords: 3, Sources: src})
+	r, err := NewRecorder(RecorderOptions{Dir: t.TempDir(), Now: clock.now, Sources: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestRecorderMaxRecordsKeepsNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("kept %d records, want 3", len(lines))
+	if len(lines) != maxRecords {
+		t.Fatalf("kept %d records, want %d", len(lines), maxRecords)
 	}
-	if !strings.Contains(lines[2], `"j"`) {
-		t.Fatalf("tail record %q, want the newest (j)", lines[2])
+	if !strings.Contains(lines[0], `"m0005"`) || !strings.Contains(lines[maxRecords-1], fmt.Sprintf(`"m%04d"`, maxRecords+4)) {
+		t.Fatalf("kept records %q … %q, want the newest %d", lines[0], lines[maxRecords-1], maxRecords)
 	}
 }
 
@@ -187,7 +188,7 @@ func recorderOn(t *testing.T, fsys faultfs.FS) *Recorder {
 	t.Helper()
 	clock := newTestClock()
 	r, err := NewRecorder(RecorderOptions{
-		Dir: "diag", FS: fsys, Now: clock.now, MinInterval: -1, Sources: testSources(),
+		Dir: "diag", FS: fsys, Now: clock.now, Sources: testSources(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,8 +11,7 @@ import (
 // percentiles, error rates and error-budget burn rates over 1m/5m/1h
 // windows, driving a deterministic ok→warn→page alert state machine
 // with hysteresis. Monitoring at fleet cardinality must stay bounded:
-// a configurable tenant budget caps how many homes get their own
-// series — overflow tenants aggregate into the OverflowTenant bucket,
+// a tenant budget caps how many homes get their own series — overflow tenants aggregate into the OverflowTenant bucket,
 // so a 10k-home fleet cannot blow up the metrics registry (the
 // aggregation-strategy argument of the adaptable rule-engine framework
 // paper, PAPERS.md).
@@ -70,24 +69,28 @@ var latBounds = [...]float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Config parameterizes the SLO engine. The zero value adopts every
-// default.
-type Config struct {
-	// ErrorBudget is the tolerated planning-cycle error rate (the SLO's
-	// "allowed unreliability"); burn rate 1 means spending exactly this
-	// budget. Default 0.01 (99% of cycles succeed).
-	ErrorBudget float64
-	// WarnBurn and PageBurn are the burn-rate thresholds: a tenant
+// The SLO's objective and alerting thresholds.
+const (
+	// errorBudget is the tolerated planning-cycle error rate (the
+	// SLO's "allowed unreliability"): 99% of cycles succeed. Burn rate
+	// 1 means spending exactly this budget.
+	errorBudget = 0.01
+	// warnBurn and pageBurn are the burn-rate thresholds: a tenant
 	// escalates when its burn over BOTH the 1m and 5m windows reaches
 	// the threshold (the multi-window rule that keeps one blip from
-	// paging). Defaults 2 and 10.
-	WarnBurn, PageBurn float64
-	// ClearAfter is the hysteresis: consecutive clean evaluations
-	// before a tenant steps down toward ok. Default 2.
-	ClearAfter int
-	// TenantBudget caps tenants with their own windows and label
-	// series; the rest aggregate into OverflowTenant. Default 256.
-	TenantBudget int
+	// paging). A tenant pages at an error rate of 0.1.
+	warnBurn, pageBurn = 2, 10
+	// clearAfter is the hysteresis: consecutive clean evaluations
+	// before a tenant steps down toward ok.
+	clearAfter = 2
+	// tenantBudget caps tenants with their own windows and label
+	// series; the rest aggregate into OverflowTenant.
+	tenantBudget = 256
+)
+
+// Config parameterizes the SLO engine. The zero value is a working
+// engine publishing the imcf_slo_* families.
+type Config struct {
 	// OnTransition, when set, observes every alert state change at
 	// Evaluate time — the daemon hooks page entries into the flight
 	// recorder. Called synchronously with the engine unlocked, in
@@ -96,26 +99,6 @@ type Config struct {
 	// NoMetrics disables the imcf_slo_* families (tests and large
 	// simulated fleets).
 	NoMetrics bool
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.ErrorBudget <= 0 {
-		c.ErrorBudget = 0.01
-	}
-	if c.WarnBurn <= 0 {
-		c.WarnBurn = 2
-	}
-	if c.PageBurn <= 0 {
-		c.PageBurn = 10
-	}
-	if c.ClearAfter <= 0 {
-		c.ClearAfter = 2
-	}
-	if c.TenantBudget <= 0 {
-		c.TenantBudget = 256
-	}
-	return c
 }
 
 // bucket is one time slot of one rolling window.
@@ -261,7 +244,7 @@ type SLO struct {
 
 // NewSLO builds an engine with the given configuration.
 func NewSLO(cfg Config) *SLO {
-	return &SLO{cfg: cfg.withDefaults(), tenants: make(map[string]*tenantSLO)}
+	return &SLO{cfg: cfg, tenants: make(map[string]*tenantSLO)}
 }
 
 // tenantLocked resolves (or creates) the tenant's series, applying the
@@ -271,7 +254,7 @@ func (s *SLO) tenantLocked(id string) *tenantSLO {
 	if t, ok := s.tenants[id]; ok {
 		return t
 	}
-	if id != OverflowTenant && len(s.tenants) >= s.cfg.TenantBudget {
+	if id != OverflowTenant && len(s.tenants) >= tenantBudget {
 		sloOverflow.Inc()
 		return s.tenantLocked(OverflowTenant)
 	}
@@ -319,7 +302,7 @@ type transition struct {
 
 // Evaluate advances every tenant's alert state machine against the
 // windows as of now and publishes the imcf_slo_* gauges. Escalation is
-// immediate; de-escalation needs ClearAfter consecutive clean
+// immediate; de-escalation needs clearAfter consecutive clean
 // evaluations (hysteresis). Transitions are reported through
 // Config.OnTransition in tenant order, after the engine unlocks.
 func (s *SLO) Evaluate(now time.Time) {
@@ -331,16 +314,16 @@ func (s *SLO) Evaluate(now time.Time) {
 		var short merged
 		for i := range t.windows {
 			m := t.windows[i].mergeAt(now)
-			burns[i] = m.errorRate() / s.cfg.ErrorBudget
+			burns[i] = m.errorRate() / errorBudget
 			if i == 0 {
 				short = m
 			}
 		}
 		desired := StateOK
 		switch {
-		case burns[0] >= s.cfg.PageBurn && burns[1] >= s.cfg.PageBurn:
+		case burns[0] >= pageBurn && burns[1] >= pageBurn:
 			desired = StatePage
-		case burns[0] >= s.cfg.WarnBurn && burns[1] >= s.cfg.WarnBurn:
+		case burns[0] >= warnBurn && burns[1] >= warnBurn:
 			desired = StateWarn
 		}
 		prev := t.state
@@ -349,7 +332,7 @@ func (s *SLO) Evaluate(now time.Time) {
 			t.clean = 0
 		} else {
 			t.clean++
-			if t.clean >= s.cfg.ClearAfter {
+			if t.clean >= clearAfter {
 				t.state = desired
 				t.clean = 0
 			}
@@ -421,7 +404,7 @@ func (s *SLO) Snapshot(now time.Time) []TenantStatus {
 				Window:    windowNames[i],
 				Count:     m.count,
 				ErrorRate: m.errorRate(),
-				BurnRate:  m.errorRate() / s.cfg.ErrorBudget,
+				BurnRate:  m.errorRate() / errorBudget,
 				P50:       m.percentile(0.50),
 				P95:       m.percentile(0.95),
 				P99:       m.percentile(0.99),

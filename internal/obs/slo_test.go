@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,11 +18,8 @@ func newTestSLO(cfg Config) *SLO {
 
 func TestSLOStateMachine(t *testing.T) {
 	var fired []string
+	// Budget 0.01: warn at an error rate of 0.02, page at 0.1.
 	s := newTestSLO(Config{
-		ErrorBudget: 0.1, // page at error rate 0.5, warn at 0.2
-		WarnBurn:    2,
-		PageBurn:    5,
-		ClearAfter:  2,
 		OnTransition: func(tenant string, from, to State) {
 			fired = append(fired, tenant+":"+from.String()+">"+to.String())
 		},
@@ -30,7 +28,7 @@ func TestSLOStateMachine(t *testing.T) {
 	// Exactly on budget: burn 1, state ok.
 	now := sloT0
 	s.Observe("h1", now, 0.001, true)
-	for i := 0; i < 9; i++ {
+	for i := 0; i < 99; i++ {
 		s.Observe("h1", now, 0.001, false)
 	}
 	s.Evaluate(now)
@@ -42,7 +40,7 @@ func TestSLOStateMachine(t *testing.T) {
 	// both the 1m and 5m windows; escalation is immediate and may skip
 	// warn entirely.
 	now = now.Add(time.Second)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 20; i++ {
 		s.Observe("h1", now, 0.001, true)
 	}
 	s.Evaluate(now)
@@ -75,13 +73,13 @@ func TestSLOStateMachine(t *testing.T) {
 }
 
 func TestSLOWarnBetweenThresholds(t *testing.T) {
-	s := newTestSLO(Config{ErrorBudget: 0.1, WarnBurn: 2, PageBurn: 5, ClearAfter: 2})
+	s := newTestSLO(Config{})
 	now := sloT0
-	// Error rate 0.3: past warn (0.2), short of page (0.5).
-	for i := 0; i < 3; i++ {
+	// Error rate 0.05: past warn (0.02), short of page (0.1).
+	for i := 0; i < 5; i++ {
 		s.Observe("h1", now, 0.001, true)
 	}
-	for i := 0; i < 7; i++ {
+	for i := 0; i < 95; i++ {
 		s.Observe("h1", now, 0.001, false)
 	}
 	s.Evaluate(now)
@@ -91,11 +89,11 @@ func TestSLOWarnBetweenThresholds(t *testing.T) {
 }
 
 func TestSLOPageNeedsBothWindows(t *testing.T) {
-	s := newTestSLO(Config{ErrorBudget: 0.1, WarnBurn: 2, PageBurn: 5, ClearAfter: 2})
+	s := newTestSLO(Config{})
 	// Old successes keep the 5m window healthy; a fresh 100%-error
 	// minute alone must not page (the multi-window rule).
 	now := sloT0
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 1000; i++ {
 		s.Observe("h1", now, 0.001, false)
 	}
 	now = now.Add(2 * time.Minute) // 1m window empty of successes now
@@ -103,30 +101,36 @@ func TestSLOPageNeedsBothWindows(t *testing.T) {
 		s.Observe("h1", now, 0.001, true)
 	}
 	s.Evaluate(now)
-	// 1m rate = 1.0 (burn 10), 5m rate = 3/103 (burn < 0.3): no page.
+	// 1m rate = 1.0 (burn 100), 5m rate = 3/1003 (burn < 0.3): no page.
 	if got := s.State("h1"); got == StatePage {
 		t.Fatal("paged on a single-window spike; the 5m window should have held it back")
 	}
 }
 
 func TestSLOCardinalityBudget(t *testing.T) {
-	s := newTestSLO(Config{TenantBudget: 2})
+	s := newTestSLO(Config{})
 	now := sloT0
-	for _, id := range []string{"h1", "h2", "h3", "h4"} {
+	// tenantBudget+2 homes: the 257th and 258th overflow.
+	var want []string
+	for i := 0; i < tenantBudget+2; i++ {
+		id := fmt.Sprintf("h%03d", i)
 		s.Observe(id, now, 0.001, true)
+		if i < tenantBudget {
+			want = append(want, id)
+		}
 	}
+	want = append([]string{OverflowTenant}, want...)
 	snap := s.Snapshot(now)
 	var ids []string
 	for _, ts := range snap {
 		ids = append(ids, ts.Tenant)
 	}
-	want := []string{OverflowTenant, "h1", "h2"}
 	if len(ids) != len(want) {
-		t.Fatalf("tenants %v, want %v", ids, want)
+		t.Fatalf("%d tenants tracked, want %d", len(ids), len(want))
 	}
 	for i := range want {
 		if ids[i] != want[i] {
-			t.Fatalf("tenants %v, want %v", ids, want)
+			t.Fatalf("tenant %d = %q, want %q", i, ids[i], want[i])
 		}
 	}
 	// The overflow bucket aggregated both surplus tenants' samples.
@@ -135,7 +139,7 @@ func TestSLOCardinalityBudget(t *testing.T) {
 			t.Fatalf("overflow bucket count = %d, want 2", ts.Windows[0].Count)
 		}
 	}
-	if got := s.State("h3"); got != StateOK {
+	if got := s.State(fmt.Sprintf("h%03d", tenantBudget)); got != StateOK {
 		t.Fatalf("overflowed tenant state = %v, want ok (no per-tenant tracking)", got)
 	}
 }
@@ -214,11 +218,11 @@ func TestSLOWindowMergeMatchesRecomputation(t *testing.T) {
 // TestSLOBurnRateMonotoneUnderSustainedErrors is the burn-rate
 // property: once a tenant fails every cycle, each window's burn rate
 // never decreases — old successes aging out can only push it up, until
-// it saturates at 1/ErrorBudget.
+// it saturates at 1/errorBudget.
 func TestSLOBurnRateMonotoneUnderSustainedErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 5; trial++ {
-		s := newTestSLO(Config{ErrorBudget: 0.01})
+		s := newTestSLO(Config{})
 		now := sloT0
 		// A healthy prefix: random successes over ~30 minutes.
 		for i := 0; i < 200; i++ {
@@ -245,7 +249,7 @@ func TestSLOBurnRateMonotoneUnderSustainedErrors(t *testing.T) {
 		// Saturation: the short windows hold nothing but errors now.
 		final := s.Snapshot(now)[0].Windows
 		for _, w := range final[:2] {
-			if got, want := w.BurnRate, 1/0.01; got != want {
+			if got, want := w.BurnRate, 1/errorBudget; got != want {
 				t.Fatalf("window %s burn = %v at saturation, want %v", w.Window, got, want)
 			}
 		}
@@ -253,7 +257,7 @@ func TestSLOBurnRateMonotoneUnderSustainedErrors(t *testing.T) {
 }
 
 func TestSLOSnapshotIsReadOnly(t *testing.T) {
-	s := newTestSLO(Config{ErrorBudget: 0.1, PageBurn: 5, WarnBurn: 2})
+	s := newTestSLO(Config{})
 	now := sloT0
 	for i := 0; i < 10; i++ {
 		s.Observe("h1", now, 0.001, true)

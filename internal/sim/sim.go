@@ -68,9 +68,6 @@ type Options struct {
 	// Savings scales the total budget down by the given fraction
 	// (Fig. 9's energy-conservation sweep): budget × (1 − Savings).
 	Savings float64
-	// ErrorModel overrides the convenience-error model; zero value
-	// means rules.DefaultErrorModel.
-	ErrorModel rules.ErrorModel
 	// NoCarryOver disables the net-metering ledger that rolls unspent
 	// slot budget forward: the replay then plans with a zero-cap
 	// core.Ledger. The ledger is on by default: the paper's
@@ -118,9 +115,6 @@ func (o Options) withDefaults() Options {
 	// scale (6 rules in the flat, 600 in the dorms).
 	if o.Formula == 0 {
 		o.Formula = ecp.EAF
-	}
-	if o.ErrorModel == (rules.ErrorModel{}) {
-		o.ErrorModel = rules.DefaultErrorModel()
 	}
 	if o.PlanWindowHours == 0 {
 		o.PlanWindowHours = DefaultPlanWindowHours
@@ -206,16 +200,13 @@ func BuildWorkload(res *home.Residence, opts Options) (*Workload, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	if err := opts.ErrorModel.Validate(); err != nil {
-		return nil, err
-	}
 	end := opts.Start.AddDate(res.Years, 0, 0)
 	grid, err := simclock.GridOver(opts.Start, end, time.Hour)
 	if err != nil {
 		return nil, err
 	}
 
-	w := &Workload{Residence: res, Grid: grid, Model: opts.ErrorModel, mrt: res.MRT.Rules}
+	w := &Workload{Residence: res, Grid: grid, Model: rules.DefaultErrorModel(), mrt: res.MRT.Rules}
 	for i, r := range w.mrt {
 		if r.IsBudget() {
 			continue
