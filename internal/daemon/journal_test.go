@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,6 +120,35 @@ func TestDaemonJournalEndpointsAndRestart(t *testing.T) {
 	}
 	if replayed[0].Seq != decisions[0].Seq || replayed[0].Rule != decisions[0].Rule {
 		t.Fatalf("replayed journal diverges: %+v vs %+v", replayed[0], decisions[0])
+	}
+}
+
+// TestDaemonJournalDisabled pins that journaling cannot be turned off:
+// a negative JournalCap, which once removed the journal and its
+// endpoints, is rejected, and a zero one still builds the journal and
+// serves /debug/decisions.
+func TestDaemonJournalDisabled(t *testing.T) {
+	_, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165, JournalCap: -1})
+	if err == nil || !strings.Contains(err.Error(), "journal capacity") {
+		t.Fatalf("JournalCap -1: err = %v, want a journal capacity error", err)
+	}
+	d, err := New(Options{
+		Addr:            "127.0.0.1:0",
+		MetricsAddr:     "127.0.0.1:0",
+		Residence:       "flat",
+		WeeklyBudgetKWh: 165,
+		Logf:            t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //nolint:errcheck // test cleanup
+	d.Start()
+	if d.def.journal == nil {
+		t.Fatal("JournalCap 0 built no journal")
+	}
+	if code := getStatus(t, "http://"+d.MetricsAddr()+"/debug/decisions"); code != http.StatusOK {
+		t.Fatalf("/debug/decisions = %d, want 200", code)
 	}
 }
 
