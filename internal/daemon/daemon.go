@@ -348,7 +348,7 @@ func openStoreBackend(opts Options) (store.Adapter, error) {
 		if opts.StoreDir == "" {
 			return nil, nil
 		}
-		return store.Open(store.Options{Dir: opts.StoreDir, SyncWrites: true, FS: opts.FS})
+		return store.Open(store.Options{Dir: opts.StoreDir, FS: opts.FS})
 	case "mem":
 		return store.OpenMem(), nil
 	default:

@@ -2,10 +2,9 @@
 // media fault (ENOSPC, EIO), that tenant keeps serving reads but
 // refuses mutations with 503 instead of crashing mid-plan or silently
 // accepting writes it cannot persist. Classification is probe-based:
-// store.Probe appends (and under SyncWrites fsyncs) a no-op WAL
-// record, exercising the real write path. A probe also runs before
-// each mutation while degraded, so a tenant heals itself the moment
-// the disk recovers.
+// store.Probe appends and fsyncs a no-op WAL record, exercising the
+// real write path. A probe also runs before each mutation while
+// degraded, so a tenant heals itself the moment the disk recovers.
 //
 // Degraded mode is tenant-scoped: a tenant degrades when its own
 // mutation fails and its probe confirms the fault, and heals on its own

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,9 +18,9 @@ import (
 // namespaces, dispatched by the fleet scheduler, with a crash injected
 // at EVERY file operation of the shared filesystem. The invariant is
 // per-tenant crash consistency — a crash mid-fleet-cycle must leave
-// every tenant at a point in its OWN model history (with SyncWrites,
-// no earlier than its last acknowledged step), and must never leak one
-// tenant's keys into another's namespace.
+// every tenant at a point in its OWN model history (no earlier than
+// its last acknowledged step), and must never leak one tenant's keys
+// into another's namespace.
 //
 // The physical layout is the one the daemon wires: every tenant is a
 // store.Namespace view over one shared group-commit DB, so a global log
@@ -35,57 +36,38 @@ var fleetCrashTenants = []string{"ha", "hb", "hc"}
 
 const fleetCrashCycles = 4
 
-// fleetCrashStep is one tenant's planning-cycle write: a versioned MRT
-// put, plus on odd cycles an atomic batch rotating a history key —
-// the same single-op/multi-op mix the controller issues.
+// fleetCrashMRT is the versioned MRT record each cycle persists.
+type fleetCrashMRT struct {
+	Tenant  string `json:"tenant"`
+	Version int    `json:"version"`
+}
+
+// fleetCrashStep is one tenant's planning-cycle write, the traffic the
+// daemon puts on its store: the controller's versioned imcf/mrt
+// PutJSON, then the degraded-mode Probe.
 func fleetCrashStep(view store.Adapter, id string, cycle int) error {
-	if err := view.Put("imcf/mrt", []byte(fmt.Sprintf("%s-v%d", id, cycle))); err != nil {
+	if err := view.PutJSON("imcf/mrt", fleetCrashMRT{Tenant: id, Version: cycle}); err != nil {
 		return err
 	}
-	if cycle%2 == 1 {
-		return view.Apply(func(b *store.Batch) error {
-			b.Put(fmt.Sprintf("hist/%d", cycle), []byte("ok"))
-			if cycle >= 2 {
-				b.Delete(fmt.Sprintf("hist/%d", cycle-2))
-			}
-			return nil
-		})
-	}
-	return nil
+	return view.Probe()
 }
 
 // fleetCrashModel replays one tenant's model history: the encoded
-// state after every individual commit (puts and batches commit
-// separately, so the state between them is a valid recovery point).
-// Index 0 is the empty store.
+// state after each cycle's PutJSON (the Probe has no data effect).
+// Index 0 is the empty store, index k+1 the state once cycle k's step
+// was acknowledged.
 func fleetCrashModel(id string) []string {
 	m := map[string]string{}
 	states := []string{encodeTenantState(m)}
 	for cycle := 0; cycle < fleetCrashCycles; cycle++ {
-		m["imcf/mrt"] = fmt.Sprintf("%s-v%d", id, cycle)
-		states = append(states, encodeTenantState(m))
-		if cycle%2 == 1 {
-			m[fmt.Sprintf("hist/%d", cycle)] = "ok"
-			if cycle >= 2 {
-				delete(m, fmt.Sprintf("hist/%d", cycle-2))
-			}
-			states = append(states, encodeTenantState(m))
+		b, err := json.Marshal(fleetCrashMRT{Tenant: id, Version: cycle})
+		if err != nil {
+			panic(err)
 		}
+		m["imcf/mrt"] = string(b)
+		states = append(states, encodeTenantState(m))
 	}
 	return states
-}
-
-// ackIndex maps "this tenant's step for cycle k was acknowledged" to
-// the index of the corresponding state in fleetCrashModel's output.
-func ackIndex(cycle int) int {
-	idx := 0
-	for k := 0; k <= cycle; k++ {
-		idx++ // the put
-		if k%2 == 1 {
-			idx++ // the batch
-		}
-	}
-	return idx
 }
 
 // encodeTenantState folds a state map into a canonical comparable
@@ -148,7 +130,7 @@ func runFleetCrashWorkload(openViews func() (map[string]store.Adapter, func() er
 		sched.Cycle(context.Background()) //nolint:errcheck // per-tenant errors tracked via stepErrs
 		for i, id := range fleetCrashTenants {
 			if stepErrs[i] == nil {
-				acked[id] = ackIndex(cycle)
+				acked[id] = cycle + 1
 			}
 		}
 		if dead() {
@@ -185,7 +167,7 @@ func checkFleetRecovery(t *testing.T, n, workers int, views map[string]store.Ada
 // shared group-commit WAL hosting all tenants behind namespaces.
 func TestFleetCrashSharedWAL(t *testing.T) {
 	open := func(fs faultfs.FS) (map[string]store.Adapter, func() error, error) {
-		db, err := store.Open(store.Options{Dir: "/db", SyncWrites: true, FS: fs})
+		db, err := store.Open(store.Options{Dir: "/db", FS: fs})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -230,7 +212,7 @@ func TestFleetCrashSharedWAL(t *testing.T) {
 					} else {
 						mem.CrashTearing(tear ^ uint64(n))
 					}
-					db, err := store.Open(store.Options{Dir: "/db", SyncWrites: true, FS: mem})
+					db, err := store.Open(store.Options{Dir: "/db", FS: mem})
 					if err != nil {
 						t.Fatalf("failpoint %d: reopen: %v", n, err)
 					}

@@ -224,12 +224,12 @@ func TestFleetTenantEquivalence(t *testing.T) {
 			// Equivalence 3: identical recovered store state. Reopen both
 			// WALs cold and compare the subject's namespaced view against
 			// the single-home unprefixed dump.
-			sdb, err := store.Open(store.Options{Dir: soloStore, SyncWrites: true})
+			sdb, err := store.Open(store.Options{Dir: soloStore})
 			if err != nil {
 				t.Fatalf("reopen single-home store: %v", err)
 			}
 			defer sdb.Close() //nolint:errcheck
-			fdb, err := store.Open(store.Options{Dir: fleetStore, SyncWrites: true})
+			fdb, err := store.Open(store.Options{Dir: fleetStore})
 			if err != nil {
 				t.Fatalf("reopen fleet store: %v", err)
 			}

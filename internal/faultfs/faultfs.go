@@ -24,8 +24,8 @@
 // The kill-at-every-failpoint harnesses in internal/store and
 // internal/persistence enumerate the instrumented operations of a
 // scripted workload, crash at each one in turn, reboot (MemFS.Crash +
-// reopen) and assert that no acknowledged write is lost under
-// SyncWrites and that reopen always succeeds.
+// reopen) and assert that no write acknowledged as durable is lost and
+// that reopen always succeeds.
 package faultfs
 
 import (

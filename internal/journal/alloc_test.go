@@ -6,31 +6,23 @@ import (
 	"time"
 )
 
-// TestAllocsTraceDisabledJournal pins the zero-alloc recorder contract:
-// appending to a disabled journal is a single atomic load, and even an
-// enabled, sink-free journal appends by ring assignment without heap
+// TestAllocsTraceJournalAppend pins the zero-alloc recorder contract:
+// a sink-free journal appends by ring assignment without heap
 // allocation. check.sh gates on this (go test -run AllocsTrace).
-func TestAllocsTraceDisabledJournal(t *testing.T) {
+func TestAllocsTraceJournalAppend(t *testing.T) {
 	slot := time.Date(2025, 6, 1, 7, 0, 0, 0, time.UTC)
 	e := Event{Slot: slot, Rule: "r1", Verdict: VerdictDropped, FlipIter: 3}
 
 	j := New(64)
-	j.SetEnabled(false)
 	if n := testing.AllocsPerRun(200, func() { j.Append(e) }); n != 0 {
-		t.Fatalf("disabled Append allocates %v per op, want 0", n)
-	}
-
-	j.SetEnabled(true)
-	if n := testing.AllocsPerRun(200, func() { j.Append(e) }); n != 0 {
-		t.Fatalf("enabled Append allocates %v per op, want 0", n)
+		t.Fatalf("Append allocates %v per op, want 0", n)
 	}
 }
 
 // TestAllocsTraceJournalFullRing pins the growing ring's allocation
 // budget: filling a journal from empty allocates at most one block per
-// blockLen events, and once the ring has reached its cap an enabled
-// Append allocates nothing. check.sh gates on this with the disabled
-// test above.
+// blockLen events, and once the ring has reached its cap an Append
+// allocates nothing. check.sh gates on this with the test above.
 func TestAllocsTraceJournalFullRing(t *testing.T) {
 	slot := time.Date(2025, 6, 1, 7, 0, 0, 0, time.UTC)
 	e := Event{Slot: slot, Rule: "r1", Verdict: VerdictDropped, FlipIter: 3}
@@ -58,19 +50,9 @@ func BenchmarkJournalAppend(b *testing.B) {
 	slot := time.Date(2025, 6, 1, 7, 0, 0, 0, time.UTC)
 	e := Event{Slot: slot, Rule: "r1", Verdict: VerdictDropped, FlipIter: 3}
 
-	b.Run("disabled", func(b *testing.B) {
-		j := New(4096)
-		j.SetEnabled(false)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			j.Append(e)
-		}
-	})
-	b.Run("enabled", func(b *testing.B) {
-		j := New(4096)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			j.Append(e)
-		}
-	})
+	j := New(4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j.Append(e)
+	}
 }

@@ -9,13 +9,13 @@
 // Events are produced by core's DecisionRecorder hook (the live
 // controller and the simulator each install a Recorder that enriches
 // the planner's index-based callbacks with rule identity, slot and
-// trace ID) and land in a bounded ring of fixed-size blocks, each allocated
-// the first time the ring reaches it, so a quiet journal holds only the
-// blocks its events fill. Appending is a mutex-guarded slot assignment —
-// one block allocation per blockLen events until the ring reaches its
-// cap, allocation-free after — and a single atomic load when the
-// journal is disabled, so the planner stays instrumented
-// unconditionally without perturbing the replay hot path.
+// trace ID) and land in a bounded ring of fixed-size blocks, each
+// allocated the first time the ring reaches it, so a quiet journal
+// holds only the blocks its events fill. Appending is a mutex-guarded
+// slot assignment — one block allocation per blockLen events until the
+// ring reaches its cap, allocation-free after — so recording does not
+// perturb the replay hot path. A caller that wants no provenance
+// installs no journal.
 package journal
 
 import (
@@ -25,7 +25,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -144,8 +143,6 @@ type Sink interface {
 
 // Journal is the bounded event ring. It is safe for concurrent use.
 type Journal struct {
-	enabled atomic.Bool
-
 	mu sync.Mutex
 	// blocks holds the ring's slots blockLen at a time; slot i lives in
 	// blocks[i/blockLen], which stays nil until the ring first reaches
@@ -166,19 +163,17 @@ const DefaultCap = 4096
 // of a growing ring.
 const blockLen = 256
 
-// New returns an enabled journal keeping the most recent capacity
+// New returns a journal keeping the most recent capacity
 // events (capacity < 1 means DefaultCap). No event storage is
 // allocated until events arrive.
 func New(capacity int) *Journal {
 	if capacity < 1 {
 		capacity = DefaultCap
 	}
-	j := &Journal{
+	return &Journal{
 		blocks:   make([][]Event, (capacity+blockLen-1)/blockLen),
 		capacity: capacity,
 	}
-	j.enabled.Store(true)
-	return j
 }
 
 // put stores ev in the next ring slot, allocating the slot's block on
@@ -204,13 +199,6 @@ func (j *Journal) put(ev Event) bool {
 // slot returns the event in ring slot i. The caller holds mu.
 func (j *Journal) slot(i int) Event { return j.blocks[i/blockLen][i%blockLen] }
 
-// SetEnabled switches event recording on or off. Disabled, Append is a
-// single atomic load — the zero-alloc-when-disabled recorder contract.
-func (j *Journal) SetEnabled(on bool) { j.enabled.Store(on) }
-
-// Enabled reports whether events are being recorded.
-func (j *Journal) Enabled() bool { return j.enabled.Load() }
-
 // SetSink installs the persistence sink receiving every future event.
 func (j *Journal) SetSink(s Sink) {
 	j.mu.Lock()
@@ -224,9 +212,6 @@ func (j *Journal) SetSink(s Sink) {
 // increment imcf_journal_sink_errors_total and are otherwise
 // swallowed).
 func (j *Journal) Append(ev Event) {
-	if !j.enabled.Load() {
-		return
-	}
 	j.mu.Lock()
 	j.seq++
 	ev.Seq = j.seq

@@ -74,9 +74,6 @@ func TestFlipIterString(t *testing.T) {
 
 func TestAppendRecentAndEviction(t *testing.T) {
 	j := New(4)
-	if !j.Enabled() {
-		t.Fatal("new journal should be enabled")
-	}
 	for i := 0; i < 6; i++ {
 		j.Append(ev(i, fmt.Sprintf("r%d", i), VerdictDropped))
 	}
@@ -92,23 +89,6 @@ func TestAppendRecentAndEviction(t *testing.T) {
 		if e.Window != i+2 || e.Seq != uint64(i+3) {
 			t.Fatalf("event %d: window=%d seq=%d", i, e.Window, e.Seq)
 		}
-	}
-}
-
-func TestSetEnabledDropsEvents(t *testing.T) {
-	j := New(4)
-	j.SetEnabled(false)
-	if j.Enabled() {
-		t.Fatal("Enabled after SetEnabled(false)")
-	}
-	j.Append(ev(0, "r", VerdictDropped))
-	if j.Len() != 0 {
-		t.Fatal("disabled journal recorded an event")
-	}
-	j.SetEnabled(true)
-	j.Append(ev(0, "r", VerdictDropped))
-	if j.Len() != 1 {
-		t.Fatal("re-enabled journal dropped an event")
 	}
 }
 

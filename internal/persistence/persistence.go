@@ -47,7 +47,6 @@ const segmentExt = ".imt"
 // use.
 type Service struct {
 	dir string
-	fs  faultfs.FS
 
 	mu      sync.Mutex
 	writers map[string]*trace.Writer
@@ -61,9 +60,9 @@ func Open(dir string) (*Service, error) {
 	return OpenFS(dir, nil)
 }
 
-// OpenFS is Open with directory-level operations (create, compaction
-// rename/remove) routed through the given faultfs.FS, so crash suites
-// can inject faults into them. A nil fsys uses the real filesystem.
+// OpenFS is Open with the directory's creation routed through the
+// given faultfs.FS, so crash suites can inject faults into it. A nil
+// fsys uses the real filesystem.
 // Segment content I/O goes through internal/trace, which owns its own
 // file handling.
 func OpenFS(dir string, fsys faultfs.FS) (*Service, error) {
@@ -78,7 +77,6 @@ func OpenFS(dir string, fsys faultfs.FS) (*Service, error) {
 	}
 	return &Service{
 		dir:     dir,
-		fs:      fsys,
 		writers: make(map[string]*trace.Writer),
 		kinds:   make(map[string]trace.Kind),
 	}, nil
@@ -258,85 +256,6 @@ func (s *Service) Aggregate(item string, from, to time.Time, bucket time.Duratio
 	}
 	flush()
 	return out, nil
-}
-
-// Compact merges an item's closed segments into one, shrinking the file
-// count and rewriting the readings in a single time-ordered trace. The
-// item's live writer (if any) is finalized first, so compaction also
-// seals the current session's segment. The merge is crash-safe: the
-// merged segment is written to a temp file and renamed before the old
-// segments are removed.
-func (s *Service) Compact(item string) error {
-	// Seal the live writer so its records participate.
-	s.mu.Lock()
-	if w, ok := s.writers[item]; ok {
-		if err := w.Close(); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("persistence: seal %q: %w", item, err)
-		}
-		delete(s.writers, item)
-		delete(s.kinds, item)
-	}
-	s.mu.Unlock()
-
-	segments, err := s.segmentsOf(item)
-	if err != nil {
-		return err
-	}
-	if len(segments) == 0 {
-		return fmt.Errorf("persistence: unknown item %q", item)
-	}
-	if len(segments) == 1 {
-		return nil // already compact
-	}
-
-	var all []trace.Record
-	var kind trace.Kind
-	for _, seg := range segments {
-		r, err := trace.OpenFile(seg)
-		if err != nil {
-			return err
-		}
-		kind = r.Kind()
-		recs, err := r.ReadAll()
-		r.Close() //nolint:errcheck // read-only
-		if err != nil {
-			return err
-		}
-		all = append(all, recs...)
-	}
-	trace.SortRecords(all)
-
-	first := all[0].Time.Unix()
-	final := filepath.Join(s.dir, fmt.Sprintf("%s.%d%s", escapeItem(item), first, segmentExt))
-	tmp := final + ".tmp"
-	w, err := trace.CreateFile(tmp, kind, 0)
-	if err != nil {
-		return err
-	}
-	for _, rec := range all {
-		if err := w.Append(rec); err != nil {
-			w.Close()        //nolint:errcheck
-			s.fs.Remove(tmp) //nolint:errcheck
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		s.fs.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	if err := s.fs.Rename(tmp, final); err != nil {
-		return fmt.Errorf("persistence: install merged segment: %w", err)
-	}
-	for _, seg := range segments {
-		if seg == final {
-			continue
-		}
-		if err := s.fs.Remove(seg); err != nil {
-			return fmt.Errorf("persistence: remove old segment: %w", err)
-		}
-	}
-	return nil
 }
 
 // segmentsOf lists an item's segment paths sorted by start time.

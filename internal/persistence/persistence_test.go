@@ -211,87 +211,6 @@ func TestItemPrefixCollision(t *testing.T) {
 	}
 }
 
-func TestCompactMergesSegments(t *testing.T) {
-	dir := t.TempDir()
-	// Three sessions → three segments for the same item.
-	for session := 0; session < 3; session++ {
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			off := time.Duration(session*10+i) * time.Minute
-			if err := s.Record("item", trace.KindTemperature,
-				trace.Record{Time: p0.Add(off), Value: float64(session*10 + i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	segs, err := s.segmentsOf("item")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 3 {
-		t.Fatalf("pre-compaction segments = %d", len(segs))
-	}
-	if err := s.Compact("item"); err != nil {
-		t.Fatal(err)
-	}
-	segs, err = s.segmentsOf("item")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 {
-		t.Fatalf("post-compaction segments = %d", len(segs))
-	}
-	recs, err := s.Query("item", p0, p0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 30 {
-		t.Fatalf("post-compaction records = %d", len(recs))
-	}
-	for i, r := range recs {
-		if r.Value != float64(i) {
-			t.Fatalf("record %d = %v", i, r.Value)
-		}
-	}
-	// Compacting again is a no-op; unknown items error.
-	if err := s.Compact("item"); err != nil {
-		t.Errorf("re-compaction: %v", err)
-	}
-	if err := s.Compact("ghost"); err == nil {
-		t.Error("compacting unknown item accepted")
-	}
-}
-
-func TestCompactSealsLiveWriter(t *testing.T) {
-	s := openService(t)
-	record(t, s, "live", trace.KindLight, 0, 1)
-	record(t, s, "live", trace.KindLight, time.Minute, 2)
-	if err := s.Compact("live"); err != nil {
-		t.Fatal(err)
-	}
-	// Recording continues in a fresh segment afterwards.
-	record(t, s, "live", trace.KindLight, 2*time.Minute, 3)
-	recs, err := s.Query("live", p0, p0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("records = %v", recs)
-	}
-}
-
 func TestAggregateValuesFinite(t *testing.T) {
 	s := openService(t)
 	record(t, s, "x", trace.KindLight, 0, 5)

@@ -7,7 +7,10 @@ import (
 
 // Adapter is the storage seam of the controller and daemon: the
 // operations every backend must provide, regardless of how (or
-// whether) it persists them. Two implementations ship:
+// whether) it persists them. It carries exactly the traffic the
+// program makes — the controller's MRT GetJSON/PutJSON, the daemon's
+// degraded-mode Probe, and Close — plus Get, Put and Keys beneath
+// them. Two implementations ship:
 //
 //   - DB — the WAL+snapshot store with group-commit fsync batching,
 //     the durable default;
@@ -26,25 +29,17 @@ type Adapter interface {
 	Get(key string) ([]byte, bool)
 	// Put durably stores value at key. The empty key is invalid.
 	Put(key string, value []byte) error
-	// Delete removes key; deleting a missing key is a no-op.
-	Delete(key string) error
 	// Keys returns all keys with the given prefix, sorted.
 	Keys(prefix string) []string
-	// Len returns the number of live keys.
-	Len() int
-	// Apply runs fn to fill a batch and commits it atomically.
-	Apply(fn func(*Batch) error) error
 	// PutJSON marshals v and stores it at key.
 	PutJSON(key string, v any) error
 	// GetJSON unmarshals the value at key into v, reporting whether
 	// the key existed.
 	GetJSON(key string, v any) (bool, error)
-	// Compact reclaims space (a no-op for backends without a log).
-	Compact() error
 	// Probe verifies the write path end to end without touching any
 	// key; the daemon's degraded-mode logic is built on it.
 	Probe() error
-	// Close flushes and closes the backend. Further mutations return
+	// Close flushes and closes the backend. Further writes return
 	// ErrClosed.
 	Close() error
 }

@@ -10,19 +10,20 @@ import (
 	"github.com/imcf/imcf/internal/faultfs"
 )
 
-// The crash-recovery suite: a scripted workload of puts, deletes,
-// batches and compactions runs against a faultfs.MemFS; the harness
-// enumerates every instrumented file operation the workload performs,
-// then re-runs it once per failpoint with a simulated crash there,
-// reboots (MemFS.Crash) and reopens. Invariants checked at every
-// single failpoint:
+// The crash-recovery suite: a scripted workload of puts, overwrites,
+// probes and compactions — the writes the controller and daemon make —
+// runs against a faultfs.MemFS; the harness enumerates every
+// instrumented file operation the workload performs, then re-runs it
+// once per failpoint with a simulated crash there, reboots
+// (MemFS.Crash) and reopens. Invariants checked at every single
+// failpoint:
 //
 //   - reopen never fails;
 //   - the recovered contents equal the state after some prefix of the
-//     workload's mutations (atomicity — no torn batch, no half-applied
-//     op, no resurrection of deleted keys out of order);
-//   - under SyncWrites, that prefix includes every acknowledged
-//     mutation (durability — an acked write is never lost);
+//     workload's mutations (atomicity — no half-applied op, no stale
+//     value replayed over a newer one);
+//   - that prefix includes every acknowledged mutation (durability —
+//     an acked write is never lost);
 //   - the reopened store accepts new writes.
 
 // crashStep is one logical mutation of the scripted workload.
@@ -40,11 +41,11 @@ func put(key, val string) crashStep {
 	}
 }
 
-func del(key string) crashStep {
+func probe() crashStep {
 	return crashStep{
-		name:  "delete " + key,
-		apply: func(db *DB) error { return db.Delete(key) },
-		model: func(m map[string]string) { delete(m, key) },
+		name:  "probe",
+		apply: func(db *DB) error { return db.Probe() },
+		model: func(m map[string]string) {},
 	}
 }
 
@@ -56,45 +57,25 @@ func compact() crashStep {
 	}
 }
 
-func batch(ops func(b *Batch), model func(m map[string]string)) crashStep {
-	return crashStep{
-		name:  "batch",
-		apply: func(db *DB) error { return db.Apply(func(b *Batch) error { ops(b); return nil }) },
-		model: model,
-	}
-}
-
-// crashWorkload mixes every mutation kind with explicit compactions;
-// automatic compaction is additionally triggered by CompactEvery in
-// the harness options.
+// crashWorkload mixes puts, overwrites and probes with explicit
+// compactions; automatic compaction is additionally triggered by
+// CompactEvery in the harness options. The overwrites make a stale
+// log replayed over a newer snapshot visible as a state that never
+// existed.
 func crashWorkload() []crashStep {
 	return []crashStep{
 		put("mrt/rule1", "hvac<=24"),
 		put("mrt/rule2", "light-off"),
 		put("profile/week", strings.Repeat("0.42,", 40)),
-		del("mrt/rule2"),
-		batch(func(b *Batch) {
-			b.Put("mrt/rule3", []byte("shift-wash"))
-			b.Put("mrt/rule4", []byte("ev-night"))
-			b.Delete("mrt/rule1")
-		}, func(m map[string]string) {
-			m["mrt/rule3"] = "shift-wash"
-			m["mrt/rule4"] = "ev-night"
-			delete(m, "mrt/rule1")
-		}),
+		probe(),
+		put("mrt/rule2", "light-dim"),
+		put("mrt/rule3", "shift-wash"),
 		compact(),
 		put("mrt/rule1", "hvac<=26"),
-		del("profile/week"),
+		probe(),
 		put("summary/fce", "0.93"),
-		batch(func(b *Batch) {
-			b.Put("profile/week", []byte("fresh"))
-			b.Delete("mrt/rule4")
-		}, func(m map[string]string) {
-			m["profile/week"] = "fresh"
-			delete(m, "mrt/rule4")
-		}),
+		put("profile/week", "fresh"),
 		put("summary/fe", "12.5"),
-		del("missing/key"), // acked no-op: no WAL record
 		compact(),
 		put("post/compact", "tail"),
 	}
@@ -135,10 +116,10 @@ func cloneState(m map[string]string) map[string]string {
 
 // countWorkloadOps runs the workload fault-free and reports how many
 // instrumented file operations it performs — the failpoint count.
-func countWorkloadOps(t *testing.T, sync bool) int {
+func countWorkloadOps(t *testing.T) int {
 	t.Helper()
 	faulty := faultfs.NewFaulty(faultfs.NewMemFS(), nil)
-	db, err := Open(Options{Dir: "/db", SyncWrites: sync, CompactEvery: 4, FS: faulty})
+	db, err := Open(Options{Dir: "/db", CompactEvery: 4, FS: faulty})
 	if err != nil {
 		t.Fatalf("fault-free open: %v", err)
 	}
@@ -155,11 +136,11 @@ func countWorkloadOps(t *testing.T, sync bool) int {
 
 // runCrashAt replays the workload with a crash at failpoint n and
 // checks the recovery invariants.
-func runCrashAt(t *testing.T, n int, sync bool, tearSeed uint64) {
+func runCrashAt(t *testing.T, n int, tearSeed uint64) {
 	t.Helper()
 	mem := faultfs.NewMemFS()
 	faulty := faultfs.NewFaulty(mem, faultfs.CrashAt(n))
-	opts := Options{Dir: "/db", SyncWrites: sync, CompactEvery: 4, FS: faulty}
+	opts := Options{Dir: "/db", CompactEvery: 4, FS: faulty}
 
 	empty := encodeState(nil)
 	states := []string{empty}
@@ -194,27 +175,23 @@ func runCrashAt(t *testing.T, n int, sync bool, tearSeed uint64) {
 		mem.CrashTearing(tearSeed)
 	}
 
-	db2, err := Open(Options{Dir: "/db", SyncWrites: sync, FS: mem})
+	db2, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatalf("failpoint %d: reopen failed: %v", n, err)
 	}
 	defer db2.Close() //nolint:errcheck
 
 	got := dumpState(db2)
-	lo := 0
-	if sync {
-		lo = acked
-	}
 	found := false
-	for i := lo; i < len(states); i++ {
+	for i := acked; i < len(states); i++ {
 		if got == states[i] {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Fatalf("failpoint %d (sync=%v tear=%#x): recovered state %q not in valid states[%d:%d] %q",
-			n, sync, tearSeed, got, lo, len(states), states[lo:])
+		t.Fatalf("failpoint %d (tear=%#x): recovered state %q not in valid states[%d:%d] %q",
+			n, tearSeed, got, acked, len(states), states[acked:])
 	}
 
 	// The recovered store must accept new writes.
@@ -224,26 +201,24 @@ func runCrashAt(t *testing.T, n int, sync bool, tearSeed uint64) {
 }
 
 // TestCrashRecoveryEveryFailpoint is the tentpole gate: kill at every
-// failpoint × SyncWrites on/off × clean vs torn tails.
+// failpoint × clean vs torn tails. The store always fsyncs, which the
+// sync=true in each subtest name records.
 func TestCrashRecoveryEveryFailpoint(t *testing.T) {
-	for _, sync := range []bool{true, false} {
-		for _, tear := range []uint64{0, 0xC0FFEE} {
-			name := fmt.Sprintf("sync=%v/tear=%#x", sync, tear)
-			t.Run(name, func(t *testing.T) {
-				total := countWorkloadOps(t, sync)
-				if total < 40 {
-					t.Fatalf("suspiciously few failpoints: %d", total)
-				}
-				for n := 0; n < total; n++ {
-					runCrashAt(t, n, sync, tear)
-				}
-			})
-		}
+	for _, tear := range []uint64{0, 0xC0FFEE} {
+		t.Run(fmt.Sprintf("sync=true/tear=%#x", tear), func(t *testing.T) {
+			total := countWorkloadOps(t)
+			if total < 40 {
+				t.Fatalf("suspiciously few failpoints: %d", total)
+			}
+			for n := 0; n < total; n++ {
+				runCrashAt(t, n, tear)
+			}
+		})
 	}
 }
 
 // TestCompactionRenameDurability is the regression test for the
-// torn-compaction window: with SyncWrites on, a crash at any file
+// torn-compaction window: a crash at any file
 // operation inside Compact must never lose the acknowledged puts that
 // preceded it. Before the directory-sync fix, the WAL could be reset
 // while the snapshot rename was still volatile, forgetting every
@@ -252,7 +227,7 @@ func TestCompactionRenameDurability(t *testing.T) {
 	const keys = 5
 	preOps := func() (int, int) {
 		faulty := faultfs.NewFaulty(faultfs.NewMemFS(), nil)
-		db, err := Open(Options{Dir: "/db", SyncWrites: true, FS: faulty})
+		db, err := Open(Options{Dir: "/db", FS: faulty})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +247,7 @@ func TestCompactionRenameDurability(t *testing.T) {
 	for n := before; n < after; n++ {
 		mem := faultfs.NewMemFS()
 		faulty := faultfs.NewFaulty(mem, faultfs.CrashAt(n))
-		db, err := Open(Options{Dir: "/db", SyncWrites: true, FS: faulty})
+		db, err := Open(Options{Dir: "/db", FS: faulty})
 		if err != nil {
 			t.Fatalf("failpoint %d: open: %v", n, err)
 		}
@@ -284,7 +259,7 @@ func TestCompactionRenameDurability(t *testing.T) {
 		db.Compact() //nolint:errcheck // the compaction is the crash point
 		mem.Crash()
 
-		db2, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+		db2, err := Open(Options{Dir: "/db", FS: mem})
 		if err != nil {
 			t.Fatalf("failpoint %d: reopen: %v", n, err)
 		}
@@ -312,7 +287,7 @@ func TestFailedCompactionLeavesCleanErrors(t *testing.T) {
 		}
 		return nil
 	})
-	db, err := Open(Options{Dir: "/db", SyncWrites: true, FS: faultfs.NewFaulty(mem, inj)})
+	db, err := Open(Options{Dir: "/db", FS: faultfs.NewFaulty(mem, inj)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +334,7 @@ func TestTornAppendRollback(t *testing.T) {
 		}
 		return nil
 	})
-	db, err := Open(Options{Dir: "/db", SyncWrites: true, FS: faultfs.NewFaulty(mem, inj)})
+	db, err := Open(Options{Dir: "/db", FS: faultfs.NewFaulty(mem, inj)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +351,7 @@ func TestTornAppendRollback(t *testing.T) {
 	}
 	mem.Crash()
 
-	db2, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+	db2, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -412,7 +387,7 @@ func TestTornAppendRollbackTruncateFails(t *testing.T) {
 		}
 		return nil
 	})
-	db, err := Open(Options{Dir: "/db", SyncWrites: true, FS: faultfs.NewFaulty(mem, inj)})
+	db, err := Open(Options{Dir: "/db", FS: faultfs.NewFaulty(mem, inj)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +412,7 @@ func TestTornAppendRollbackTruncateFails(t *testing.T) {
 	}
 	mem.Crash()
 
-	db2, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+	db2, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -466,7 +441,7 @@ func TestProbeHealsAfterFailedCompaction(t *testing.T) {
 		}
 		return nil
 	})
-	db, err := Open(Options{Dir: "/db", SyncWrites: true, FS: faultfs.NewFaulty(mem, inj)})
+	db, err := Open(Options{Dir: "/db", FS: faultfs.NewFaulty(mem, inj)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +464,7 @@ func TestProbeHealsAfterFailedCompaction(t *testing.T) {
 	}
 	mem.Crash()
 
-	db2, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+	db2, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -505,7 +480,7 @@ func TestProbeHealsAfterFailedCompaction(t *testing.T) {
 // as no-ops and never surface as keys.
 func TestProbeRecordsAreInvisible(t *testing.T) {
 	mem := faultfs.NewMemFS()
-	db, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+	db, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,12 +497,12 @@ func TestProbeRecordsAreInvisible(t *testing.T) {
 	}
 	// Crash without closing: probes and puts replay from the WAL.
 	mem.Crash()
-	db2, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+	db2, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close() //nolint:errcheck
-	if got := db2.Len(); got != 2 {
+	if got := len(db2.Keys("")); got != 2 {
 		t.Fatalf("probe records leaked into the keyspace: %d keys: %v", got, db2.Keys(""))
 	}
 }

@@ -8,11 +8,7 @@ import "github.com/imcf/imcf/internal/metrics"
 var (
 	// walAppends counts records appended to the write-ahead log.
 	walAppends = metrics.NewCounter("imcf_store_wal_appends_total",
-		"Records appended to the write-ahead log (single ops and batches).")
-
-	// walBatchOps counts individual operations inside atomic batches.
-	walBatchOps = metrics.NewCounter("imcf_store_batch_ops_total",
-		"Individual operations committed through atomic batches.")
+		"Records appended to the write-ahead log (puts and probes).")
 
 	// walBytes accumulates bytes appended to the log.
 	walBytes = metrics.NewFloatCounter("imcf_store_wal_bytes_total",
@@ -25,7 +21,7 @@ var (
 	// walFsyncs counts WAL fsyncs. With group commit one fsync can ack
 	// many writers, so walFsyncs/walAppends is the batching win.
 	walFsyncs = metrics.NewCounter("imcf_store_fsyncs_total",
-		"WAL fsyncs issued (one per group-commit flush under SyncWrites).")
+		"WAL fsyncs issued (one per group-commit flush).")
 
 	// fsyncSeconds is the latency of each WAL fsync.
 	fsyncSeconds = metrics.NewHistogram("imcf_store_fsync_seconds",

@@ -19,10 +19,10 @@ func FuzzWALRecovery(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	db.Put("k1", []byte("v1"))                                               //nolint:errcheck
-	db.Put("k2", []byte("v2"))                                               //nolint:errcheck
-	db.Delete("k1")                                                          //nolint:errcheck
-	db.Apply(func(b *Batch) error { b.Put("k3", []byte("v3")); return nil }) //nolint:errcheck
+	db.Put("k1", []byte("v1"))  //nolint:errcheck
+	db.Put("k2", []byte("v2"))  //nolint:errcheck
+	db.Probe()                  //nolint:errcheck
+	db.Put("k1", []byte("v1b")) //nolint:errcheck
 	db.wal.Close()
 	walBytes, err := os.ReadFile(filepath.Join(dir, walName))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -76,17 +77,16 @@ func TestOpenV1Store(t *testing.T) {
 	var wal []byte
 	wal = append(wal, v1WALRecord(opPut, "mrt/rule1", "new")...)
 	wal = append(wal, v1WALRecord(opPut, "mrt/rule3", "added")...)
-	wal = append(wal, v1WALRecord(opDelete, "mrt/rule2", "")...)
 	writeMemFile(t, mem, "/db/"+walName, wal)
 	if err := mem.SyncDir("/db"); err != nil {
 		t.Fatal(err)
 	}
 
-	db, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+	db, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatalf("open v1 store: %v", err)
 	}
-	want := map[string]string{"mrt/rule1": "new", "mrt/rule3": "added"}
+	want := map[string]string{"mrt/rule1": "new", "mrt/rule2": "keep", "mrt/rule3": "added"}
 	assertState := func(db *DB, stage string) {
 		t.Helper()
 		for k, v := range want {
@@ -94,8 +94,8 @@ func TestOpenV1Store(t *testing.T) {
 				t.Fatalf("%s: %s = %q,%v, want %q", stage, k, got, ok, v)
 			}
 		}
-		if _, ok := db.Get("mrt/rule2"); ok {
-			t.Fatalf("%s: v1 wal delete not applied", stage)
+		if n := len(db.Keys("")); n != len(want) {
+			t.Fatalf("%s: %d keys, want %d", stage, n, len(want))
 		}
 	}
 	assertState(db, "after open")
@@ -108,7 +108,7 @@ func TestOpenV1Store(t *testing.T) {
 	want["mrt/rule4"] = "fresh"
 	mem.Crash()
 
-	db2, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+	db2, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatalf("reopen v1 store after crash: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestOpenV1Store(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db3, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+	db3, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatalf("reopen migrated store: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestOpenV1StoreTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err := Open(Options{Dir: "/db", SyncWrites: true, FS: mem})
+	db, err := Open(Options{Dir: "/db", FS: mem})
 	if err != nil {
 		t.Fatalf("open v1 store with torn tail: %v", err)
 	}
@@ -170,4 +170,66 @@ func TestOpenV1StoreTornWALTail(t *testing.T) {
 	if err := db.Put("k4", []byte("v4")); err != nil {
 		t.Fatalf("append after torn-tail truncation: %v", err)
 	}
+}
+
+// TestOpenCommittedV2Store pins the on-disk format against files
+// written by an earlier build (testdata/v2): three Puts (one through
+// each of the default and two tenant keyspaces), a Probe and a Close —
+// a v2 snapshot at generation 1 plus a generation-stamped WAL — then
+// one more Put, overwriting imcf/mrt, left in the WAL by a crash. Any
+// change to the snapshot, WAL header or record encoding fails here.
+func TestOpenCommittedV2Store(t *testing.T) {
+	want := map[string]string{
+		"imcf/mrt":      `{"rules":["night heat"],"version":2}`,
+		"t/h1/imcf/mrt": `{"rules":["flat cool"],"version":1}`,
+		"t/h2/imcf/mrt": `{"version":1}`,
+	}
+	dir := t.TempDir()
+	for name, magic := range map[string]string{snapName: "IMSS", walName: "IMWL"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "v2", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b[:4]) != magic || binary.LittleEndian.Uint64(b[8:16]) != 1 {
+			t.Fatalf("fixture %s is not a generation-1 file of the current format", name)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertState := func(db *DB, stage string) {
+		t.Helper()
+		if got := db.Keys(""); len(got) != len(want) {
+			t.Fatalf("%s: keys %v, want %d", stage, got, len(want))
+		}
+		for k, v := range want {
+			if got, ok := db.Get(k); !ok || string(got) != v {
+				t.Fatalf("%s: %s = %q,%v, want %q", stage, k, got, ok, v)
+			}
+		}
+		var mrt struct{ Version int }
+		if ok, err := Namespace(db, "t/h1/").GetJSON("imcf/mrt", &mrt); !ok || err != nil || mrt.Version != 1 {
+			t.Fatalf("%s: tenant h1 MRT = %+v,%v,%v", stage, mrt, ok, err)
+		}
+	}
+
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("open committed store: %v", err)
+	}
+	if db.walRecs != 1 {
+		t.Fatalf("replayed %d WAL records, want the 1 trailing Put", db.walRecs)
+	}
+	assertState(db, "after open")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Close compacted the replayed Put into a new snapshot.
+	db2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen compacted store: %v", err)
+	}
+	defer db2.Close() //nolint:errcheck
+	assertState(db2, "after compaction")
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // MemDB is the pure in-memory Adapter backend: the exact semantics of
-// DB — copy-on-read, copy-on-write, atomic batches, ErrClosed after
-// Close — with no durability and no file layer underneath. It serves
-// ephemeral daemons (imcfd -store-backend mem), tests that want store
-// semantics without disk I/O, and the conformance suite's reference
-// point.
+// DB — copy-on-read, copy-on-write, ErrClosed after Close — with no
+// durability and no file layer underneath. It serves ephemeral daemons
+// (imcfd -store-backend mem), tests that want store semantics without
+// disk I/O, and the conformance suite's reference point.
 type MemDB struct {
 	mu     sync.RWMutex
 	data   map[string][]byte
@@ -54,17 +53,6 @@ func (m *MemDB) Put(key string, value []byte) error {
 	return nil
 }
 
-// Delete removes key. Deleting a missing key is a no-op.
-func (m *MemDB) Delete(key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	delete(m.data, key)
-	return nil
-}
-
 // Keys returns all keys with the given prefix, sorted.
 func (m *MemDB) Keys(prefix string) []string {
 	m.mu.RLock()
@@ -79,59 +67,12 @@ func (m *MemDB) Keys(prefix string) []string {
 	return out
 }
 
-// Len returns the number of live keys.
-func (m *MemDB) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.data)
-}
-
-// Apply runs fn to fill a batch and commits it atomically under the
-// store lock. If fn returns an error nothing is written.
-func (m *MemDB) Apply(fn func(*Batch) error) error {
-	var b Batch
-	if err := fn(&b); err != nil {
-		return err
-	}
-	for _, op := range b.ops {
-		if op.key == "" {
-			return errors.New("store: empty key in batch")
-		}
-	}
-	if len(b.ops) == 0 {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	for _, op := range b.ops {
-		if op.del {
-			delete(m.data, op.key)
-		} else {
-			m.data[op.key] = op.value
-		}
-	}
-	return nil
-}
-
 // PutJSON marshals v and stores it at key.
 func (m *MemDB) PutJSON(key string, v any) error { return putJSON(m, key, v) }
 
 // GetJSON unmarshals the value at key into v, reporting whether the key
 // existed.
 func (m *MemDB) GetJSON(key string, v any) (bool, error) { return getJSON(m, key, v) }
-
-// Compact is a no-op: there is no log to fold in.
-func (m *MemDB) Compact() error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return ErrClosed
-	}
-	return nil
-}
 
 // Probe verifies the (trivial) write path.
 func (m *MemDB) Probe() error {

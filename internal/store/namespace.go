@@ -13,11 +13,10 @@ import (
 // cannot contain '/', two tenants' prefixes can never alias each
 // other's keys.
 //
-// A Namespaced view inherits the parent's durability and atomicity:
-// Put/Delete/Apply commit through the parent's log, and a batch stays
-// one atomic record. Close is a no-op — the parent is shared, and its
-// lifetime belongs to whoever opened it (the daemon closes the physical
-// backend once, after every tenant view is done).
+// A Namespaced view inherits the parent's durability: Put commits
+// through the parent's log. Close is a no-op — the parent is shared,
+// and its lifetime belongs to whoever opened it (the daemon closes the
+// physical backend once, after every tenant view is done).
 type Namespaced struct {
 	parent Adapter
 	prefix string
@@ -31,12 +30,6 @@ func Namespace(parent Adapter, prefix string) Adapter {
 	}
 	return &Namespaced{parent: parent, prefix: prefix}
 }
-
-// Parent exposes the physical backend behind the view.
-func (n *Namespaced) Parent() Adapter { return n.parent }
-
-// Prefix exposes the view's key prefix.
-func (n *Namespaced) Prefix() string { return n.prefix }
 
 // Get returns a copy of the value stored at key within the namespace.
 func (n *Namespaced) Get(key string) ([]byte, bool) {
@@ -52,11 +45,6 @@ func (n *Namespaced) Put(key string, value []byte) error {
 	return n.parent.Put(n.prefix+key, value)
 }
 
-// Delete removes key within the namespace.
-func (n *Namespaced) Delete(key string) error {
-	return n.parent.Delete(n.prefix + key)
-}
-
 // Keys returns the namespace's keys with the given prefix, sorted, with
 // the namespace prefix stripped — a tenant lists the same key names it
 // wrote, never the physical routing prefix.
@@ -69,45 +57,12 @@ func (n *Namespaced) Keys(prefix string) []string {
 	return out
 }
 
-// Len returns the number of live keys within the namespace.
-func (n *Namespaced) Len() int { return len(n.parent.Keys(n.prefix)) }
-
-// Apply runs fn to fill a batch and commits it atomically through the
-// parent, with every op's key routed through the namespace prefix.
-func (n *Namespaced) Apply(fn func(*Batch) error) error {
-	var b Batch
-	if err := fn(&b); err != nil {
-		return err
-	}
-	for _, op := range b.ops {
-		if op.key == "" {
-			return errors.New("store: empty key in batch")
-		}
-	}
-	if len(b.ops) == 0 {
-		return nil
-	}
-	return n.parent.Apply(func(pb *Batch) error {
-		for _, op := range b.ops {
-			if op.del {
-				pb.Delete(n.prefix + op.key)
-			} else {
-				pb.ops = append(pb.ops, batchOp{key: n.prefix + op.key, value: op.value})
-			}
-		}
-		return nil
-	})
-}
-
 // PutJSON marshals v and stores it at key within the namespace.
 func (n *Namespaced) PutJSON(key string, v any) error { return putJSON(n, key, v) }
 
 // GetJSON unmarshals the value at key within the namespace into v,
 // reporting whether the key existed.
 func (n *Namespaced) GetJSON(key string, v any) (bool, error) { return getJSON(n, key, v) }
-
-// Compact reclaims space in the shared parent (all namespaces benefit).
-func (n *Namespaced) Compact() error { return n.parent.Compact() }
 
 // Probe verifies the shared parent's write path end to end — a tenant's
 // degraded-mode probe exercises the same log its writes would.

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 )
@@ -13,18 +12,6 @@ func TestNamespaceEmptyPrefixIsParent(t *testing.T) {
 	defer m.Close() //nolint:errcheck
 	if got := Namespace(m, ""); got != Adapter(m) {
 		t.Fatalf("Namespace(parent, \"\") = %T, want the parent itself", got)
-	}
-}
-
-func TestNamespaceAccessors(t *testing.T) {
-	m := OpenMem()
-	defer m.Close() //nolint:errcheck
-	n := Namespace(m, "t/a/").(*Namespaced)
-	if n.Parent() != Adapter(m) {
-		t.Error("Parent() is not the wrapped backend")
-	}
-	if n.Prefix() != "t/a/" {
-		t.Errorf("Prefix() = %q", n.Prefix())
 	}
 }
 
@@ -56,8 +43,8 @@ func TestNamespaceIsolation(t *testing.T) {
 			if got := a.Keys(""); !reflect.DeepEqual(got, []string{"imcf/mrt"}) {
 				t.Errorf("tenant a Keys = %v", got)
 			}
-			if a.Len() != 1 || ab.Len() != 1 {
-				t.Errorf("Len = %d, %d; want 1, 1", a.Len(), ab.Len())
+			if na, nab := len(a.Keys("")), len(ab.Keys("")); na != 1 || nab != 1 {
+				t.Errorf("key counts = %d, %d; want 1, 1", na, nab)
 			}
 
 			// The parent sees both, fully routed.
@@ -65,15 +52,15 @@ func TestNamespaceIsolation(t *testing.T) {
 				t.Errorf("parent Keys = %v", got)
 			}
 
-			// Deleting in one namespace leaves the other intact.
-			if err := a.Delete("imcf/mrt"); err != nil {
+			// Overwriting in one namespace leaves the other intact.
+			if err := a.Put("imcf/mrt", []byte("tenant-a-v2")); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := a.Get("imcf/mrt"); ok {
-				t.Error("tenant a key survives delete")
+			if v, _ := a.Get("imcf/mrt"); string(v) != "tenant-a-v2" {
+				t.Errorf("tenant a overwrite reads %q", v)
 			}
-			if _, ok := ab.Get("imcf/mrt"); !ok {
-				t.Error("tenant ab key lost to tenant a's delete")
+			if v, _ := ab.Get("imcf/mrt"); string(v) != "tenant-ab" {
+				t.Errorf("tenant ab sees %q after tenant a's overwrite", v)
 			}
 		})
 	}
@@ -105,75 +92,8 @@ func TestNamespaceEmptyKeyRejected(t *testing.T) {
 	if err := n.Put("", []byte("x")); err == nil {
 		t.Error("empty key accepted: would write the bare prefix")
 	}
-	if m.Len() != 0 {
-		t.Errorf("parent has %d keys after rejected Put", m.Len())
-	}
-}
-
-// TestNamespaceApply checks batches route through the prefix, stay
-// atomic, and reject invalid ops without touching the parent.
-func TestNamespaceApply(t *testing.T) {
-	for _, be := range backends(t) {
-		t.Run(be.name, func(t *testing.T) {
-			parent := be.open(t)
-			defer parent.Close() //nolint:errcheck
-			n := Namespace(parent, "t/h1/")
-
-			if err := n.Put("stale", []byte("old")); err != nil {
-				t.Fatal(err)
-			}
-			err := n.Apply(func(b *Batch) error {
-				b.Put("fresh/1", []byte("v1"))
-				b.Put("fresh/2", []byte("v2"))
-				b.Delete("stale")
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := n.Get("stale"); ok {
-				t.Error("batched delete not applied")
-			}
-			for _, k := range []string{"fresh/1", "fresh/2"} {
-				if _, ok := n.Get(k); !ok {
-					t.Errorf("batched put %s not applied", k)
-				}
-				if _, ok := parent.Get("t/h1/" + k); !ok {
-					t.Errorf("parent missing routed key t/h1/%s", k)
-				}
-			}
-
-			// fn error: nothing written.
-			boom := errors.New("boom")
-			err = n.Apply(func(b *Batch) error {
-				b.Put("never", []byte("x"))
-				return boom
-			})
-			if !errors.Is(err, boom) {
-				t.Errorf("Apply fn error = %v, want boom", err)
-			}
-			if _, ok := n.Get("never"); ok {
-				t.Error("write survived fn error")
-			}
-
-			// Empty key in a batch: rejected, nothing written.
-			err = n.Apply(func(b *Batch) error {
-				b.Put("valid", []byte("x"))
-				b.Put("", []byte("y"))
-				return nil
-			})
-			if err == nil {
-				t.Error("empty key in batch accepted")
-			}
-			if _, ok := n.Get("valid"); ok {
-				t.Error("sibling of invalid op written")
-			}
-
-			// Empty batch: acked no-op.
-			if err := n.Apply(func(b *Batch) error { return nil }); err != nil {
-				t.Errorf("empty batch: %v", err)
-			}
-		})
+	if n := len(m.Keys("")); n != 0 {
+		t.Errorf("parent has %d keys after rejected Put", n)
 	}
 }
 
@@ -222,7 +142,8 @@ func TestNamespaceCloseIsNoOp(t *testing.T) {
 	}
 }
 
-// TestNamespaceProbeAndCompact delegate to the shared parent.
+// TestNamespaceProbeAndCompact: a view's Probe delegates to the shared
+// parent, and its keys survive the parent's compaction.
 func TestNamespaceProbeAndCompact(t *testing.T) {
 	db, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
@@ -236,7 +157,7 @@ func TestNamespaceProbeAndCompact(t *testing.T) {
 	if err := n.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Compact(); err != nil {
+	if err := db.Compact(); err != nil {
 		t.Errorf("Compact: %v", err)
 	}
 	if _, ok := n.Get("k"); !ok {

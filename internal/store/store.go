@@ -11,8 +11,9 @@
 //
 // Open loads the snapshot, replays the WAL (stopping at the first torn
 // or corrupt record, which is truncated away), and serves reads from an
-// in-memory map. Every mutation is appended to the WAL before it is
-// applied. Compact rewrites the snapshot and resets the WAL.
+// in-memory map. Every Put is appended to the WAL and fsynced before it
+// is applied and acknowledged. Compaction (on Close, or every
+// CompactEvery records) rewrites the snapshot and resets the WAL.
 package store
 
 import (
@@ -40,10 +41,10 @@ const (
 	snapName = "store.snap"
 	walName  = "store.wal"
 
-	opPut    = 1
-	opDelete = 2
-	// opProbe (4, see batch.go for 3) is a no-op record appended by
-	// Probe to verify the write path; replay ignores it.
+	opPut = 1
+	// opProbe is a no-op record appended by Probe to verify the write
+	// path; replay ignores it. Codes 2 and 3 (delete and batch records)
+	// are retired: replay stops at one as at any unknown op.
 	opProbe = 4
 )
 
@@ -67,15 +68,12 @@ const (
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("store: database is closed")
 
-// Options configures Open.
+// Options configures Open. Every write is fsynced before it is
+// acknowledged.
 type Options struct {
 	// Dir is the directory holding the store files; it is created if
 	// missing.
 	Dir string
-	// SyncWrites fsyncs the WAL after every mutation. Slower, but a
-	// crash loses nothing. Off by default, matching the prototype's
-	// MariaDB default durability.
-	SyncWrites bool
 	// CompactEvery triggers automatic compaction after this many WAL
 	// records (0 disables automatic compaction).
 	CompactEvery int
@@ -215,27 +213,8 @@ func (db *DB) Put(key string, value []byte) error {
 	}
 	cp := make([]byte, len(value))
 	copy(cp, value)
-	req := newReq(opPut, key, cp, nil)
+	req := newReq(opPut, key, cp)
 	req.payload = encodeOp(req.payload[:0], opPut, key, value)
-	return db.finish(req)
-}
-
-// Delete durably removes key. Deleting a missing key is a no-op (it
-// linearizes at the presence check: a Delete racing a concurrent Put of
-// the same key may order before it and leave the Put's value in place).
-func (db *DB) Delete(key string) error {
-	db.mu.RLock()
-	_, ok := db.data[key]
-	closed := db.closed
-	db.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !ok {
-		return nil
-	}
-	req := newReq(opDelete, key, nil, nil)
-	req.payload = encodeOp(req.payload[:0], opDelete, key, nil)
 	return db.finish(req)
 }
 
@@ -253,13 +232,6 @@ func (db *DB) Keys(prefix string) []string {
 	return out
 }
 
-// Len returns the number of live keys.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.data)
-}
-
 // PutJSON marshals v and stores it at key.
 func (db *DB) PutJSON(key string, v any) error { return putJSON(db, key, v) }
 
@@ -267,7 +239,9 @@ func (db *DB) PutJSON(key string, v any) error { return putJSON(db, key, v) }
 // existed.
 func (db *DB) GetJSON(key string, v any) (bool, error) { return getJSON(db, key, v) }
 
-// Compact rewrites the snapshot with the live data and truncates the WAL.
+// Compact rewrites the snapshot with the live data and truncates the
+// WAL. Close runs it; the crash suites drive it directly to reach the
+// compaction window.
 func (db *DB) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -277,20 +251,12 @@ func (db *DB) Compact() error {
 	return db.compactLocked()
 }
 
-// WALRecords reports the number of records in the current WAL, useful
-// for tests and operational introspection.
-func (db *DB) WALRecords() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.walRecs
-}
-
-// Probe appends (and, under SyncWrites, fsyncs) a no-op WAL record,
-// verifying the append path end to end without touching any key. The
-// daemon's degraded-mode logic uses it to classify persistent disk
-// faults and to detect when a full or failing disk has recovered.
+// Probe appends and fsyncs a no-op WAL record, verifying the append
+// path end to end without touching any key. The daemon's degraded-mode
+// logic uses it to classify persistent disk faults and to detect when a
+// full or failing disk has recovered.
 func (db *DB) Probe() error {
-	req := newReq(opProbe, "", nil, nil)
+	req := newReq(opProbe, "", nil)
 	req.payload = encodeOp(req.payload[:0], opProbe, "", nil)
 	return db.finish(req)
 }
@@ -320,18 +286,17 @@ func (db *DB) maybeCompactLocked() error {
 	return nil
 }
 
-// commitReq is one mutation queued for a group-commit flush. The
+// commitReq is one Put or Probe queued for a group-commit flush. The
 // payload is the encoded WAL record body (op byte | keyLen uvarint |
-// key | value, see encodeOp); the op-specific fields carry the map
-// mutation the leader applies once the record is durable. Requests and
-// their payload scratch are pooled: steady-state Put/Delete/Probe
-// allocate only the map value copy.
+// key | value, see encodeOp); for a Put, key and value are the map
+// entry the leader installs once the record is durable. Requests and
+// their payload scratch are pooled: a steady-state Put allocates only
+// the map value copy.
 type commitReq struct {
 	op      byte
 	key     string
-	value   []byte    // opPut: the copy installed into the map
-	batch   []batchOp // opBatch: the batch's operations
-	payload []byte    // pooled record-encode scratch, reused across ops
+	value   []byte // opPut: the copy installed into the map
+	payload []byte // pooled record-encode scratch, reused across ops
 	err     error
 	done    chan struct{}
 }
@@ -340,16 +305,16 @@ type commitReq struct {
 var reqPool = sync.Pool{New: func() any { return &commitReq{done: make(chan struct{}, 1)} }}
 
 // newReq checks a request out of the pool.
-func newReq(op byte, key string, value []byte, batch []batchOp) *commitReq {
+func newReq(op byte, key string, value []byte) *commitReq {
 	r := reqPool.Get().(*commitReq)
-	r.op, r.key, r.value, r.batch, r.err = op, key, value, batch, nil
+	r.op, r.key, r.value, r.err = op, key, value, nil
 	return r
 }
 
-// releaseReq returns a request to the pool. The map-owned value and the
-// batch ops are dropped (never recycled); the payload scratch is kept.
+// releaseReq returns a request to the pool. The map-owned value is
+// dropped (never recycled); the payload scratch is kept.
 func releaseReq(r *commitReq) {
-	r.key, r.value, r.batch, r.err = "", nil, nil, nil
+	r.key, r.value, r.err = "", nil, nil
 	reqPool.Put(r)
 }
 
@@ -430,8 +395,8 @@ func (db *DB) commit(req *commitReq) {
 }
 
 // flushLocked commits one batch: every record framed (length + CRC-32
-// header) into the group buffer, one Write, one Sync when SyncWrites is
-// set, then the map mutations — so a batch is acknowledged only once
+// header) into the group buffer, one Write, one Sync, then the map
+// mutations — so a batch is acknowledged only once
 // every record in it is durable, and all waiters share the fsync. The
 // caller holds db.mu. If the log has no usable handle — a compaction
 // reset or a tail rollback failed earlier — it first retries the
@@ -469,17 +434,15 @@ func (db *DB) flushLocked(batch []*commitReq) {
 		fail(fmt.Errorf("store: wal append: %w", err))
 		return
 	}
-	if db.opts.SyncWrites {
-		start := time.Now()
-		//imcf:allow lockdiscipline group-commit leader: one Sync amortized across the batch; followers wait on their request channel, not db.mu
-		err := db.wal.Sync()
-		fsyncSeconds.Observe(time.Since(start).Seconds())
-		walFsyncs.Inc()
-		if err != nil {
-			db.rollbackWALTailLocked()
-			fail(fmt.Errorf("store: wal sync: %w", err))
-			return
-		}
+	start := time.Now()
+	//imcf:allow lockdiscipline group-commit leader: one Sync amortized across the batch; followers wait on their request channel, not db.mu
+	err := db.wal.Sync()
+	fsyncSeconds.Observe(time.Since(start).Seconds())
+	walFsyncs.Inc()
+	if err != nil {
+		db.rollbackWALTailLocked()
+		fail(fmt.Errorf("store: wal sync: %w", err))
+		return
 	}
 	groupBatchSize.Observe(float64(len(batch)))
 	db.walSize += int64(len(buf))
@@ -487,35 +450,15 @@ func (db *DB) flushLocked(batch []*commitReq) {
 	for _, r := range batch {
 		db.walRecs++
 		walAppends.Inc()
-		db.applyReqLocked(r)
+		if r.op == opPut { // a probe has no data effect
+			db.data[r.key] = r.value
+		}
 	}
 	if err := db.maybeCompactLocked(); err != nil {
 		// Every record is already durable; only the follow-up
 		// compaction failed. Surface it to the batch like the serial
 		// path surfaced it to its caller.
 		fail(err)
-	}
-}
-
-// applyReqLocked applies one durably committed request to the in-memory
-// map. The caller holds db.mu.
-func (db *DB) applyReqLocked(r *commitReq) {
-	switch r.op {
-	case opPut:
-		db.data[r.key] = r.value
-	case opDelete:
-		delete(db.data, r.key)
-	case opProbe:
-		// Write-path probe: no data effect.
-	case opBatch:
-		for _, op := range r.batch {
-			if op.del {
-				delete(db.data, op.key)
-			} else {
-				db.data[op.key] = op.value
-			}
-		}
-		walBatchOps.Add(uint64(len(r.batch)))
 	}
 }
 
@@ -667,9 +610,6 @@ func (db *DB) applyPayload(p []byte) error {
 		return errors.New("store: short wal payload")
 	}
 	op := p[0]
-	if op == opBatch {
-		return db.applyBatchPayload(p[1:])
-	}
 	klen, n := binary.Uvarint(p[1:])
 	if n <= 0 || int(klen) > len(p)-1-n {
 		return errors.New("store: bad wal key length")
@@ -681,8 +621,6 @@ func (db *DB) applyPayload(p []byte) error {
 		cp := make([]byte, len(val))
 		copy(cp, val)
 		db.data[key] = cp
-	case opDelete:
-		delete(db.data, key)
 	case opProbe:
 		// Write-path probe: no data effect.
 	default:

@@ -6,9 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"github.com/imcf/imcf/internal/faultfs"
 )
 
 func open(t *testing.T, dir string, opts ...func(*Options)) *DB {
@@ -30,7 +33,7 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
-func TestPutGetDelete(t *testing.T) {
+func TestPutGet(t *testing.T) {
 	db := open(t, t.TempDir())
 	defer db.Close()
 
@@ -49,15 +52,6 @@ func TestPutGetDelete(t *testing.T) {
 	}
 	if v, _ := db.Get("mrt/1"); string(v) != "updated" {
 		t.Errorf("overwrite failed: %q", v)
-	}
-	if err := db.Delete("mrt/1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := db.Get("mrt/1"); ok {
-		t.Error("key survives delete")
-	}
-	if err := db.Delete("mrt/1"); err != nil {
-		t.Errorf("deleting missing key: %v", err)
 	}
 	if err := db.Put("", []byte("x")); err == nil {
 		t.Error("empty key accepted")
@@ -94,9 +88,6 @@ func TestKeysPrefix(t *testing.T) {
 	if n := len(db.Keys("")); n != 4 {
 		t.Errorf("Keys(\"\") = %d keys, want 4", n)
 	}
-	if db.Len() != 4 {
-		t.Errorf("Len() = %d", db.Len())
-	}
 }
 
 func TestRestartRecoversFromWAL(t *testing.T) {
@@ -107,7 +98,7 @@ func TestRestartRecoversFromWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Delete("k10"); err != nil {
+	if err := db.Put("k10", []byte("overwritten")); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash: do NOT Close (which would compact); just reopen.
@@ -117,11 +108,11 @@ func TestRestartRecoversFromWAL(t *testing.T) {
 
 	db2 := open(t, dir)
 	defer db2.Close()
-	if db2.Len() != 49 {
-		t.Errorf("recovered %d keys, want 49", db2.Len())
+	if n := len(db2.Keys("")); n != 50 {
+		t.Errorf("recovered %d keys, want 50", n)
 	}
-	if _, ok := db2.Get("k10"); ok {
-		t.Error("deleted key resurrected")
+	if v, _ := db2.Get("k10"); string(v) != "overwritten" {
+		t.Errorf("k10 = %q, want the overwrite", v)
 	}
 	if v, _ := db2.Get("k42"); !bytes.Equal(v, []byte{42}) {
 		t.Errorf("k42 = %v", v)
@@ -139,8 +130,8 @@ func TestRestartAfterCompact(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if db.WALRecords() != 0 {
-		t.Errorf("WALRecords after compact = %d", db.WALRecords())
+	if db.walRecs != 0 {
+		t.Errorf("WAL records after compact = %d", db.walRecs)
 	}
 	if err := db.Put("post", []byte("compact")); err != nil {
 		t.Fatal(err)
@@ -151,8 +142,8 @@ func TestRestartAfterCompact(t *testing.T) {
 
 	db2 := open(t, dir)
 	defer db2.Close()
-	if db2.Len() != 21 {
-		t.Errorf("recovered %d keys, want 21", db2.Len())
+	if n := len(db2.Keys("")); n != 21 {
+		t.Errorf("recovered %d keys, want 21", n)
 	}
 	if v, _ := db2.Get("post"); string(v) != "compact" {
 		t.Errorf("post = %q", v)
@@ -181,8 +172,8 @@ func TestTornWALTail(t *testing.T) {
 
 	db2 := open(t, dir)
 	defer db2.Close()
-	if db2.Len() != 9 {
-		t.Errorf("recovered %d keys, want 9 (torn record dropped)", db2.Len())
+	if n := len(db2.Keys("")); n != 9 {
+		t.Errorf("recovered %d keys, want 9 (torn record dropped)", n)
 	}
 	// The store must accept new writes and survive another restart.
 	if err := db2.Put("fresh", []byte("x")); err != nil {
@@ -220,8 +211,8 @@ func TestCorruptWALRecordStopsReplay(t *testing.T) {
 
 	db2 := open(t, dir)
 	defer db2.Close()
-	if db2.Len() != 4 {
-		t.Errorf("recovered %d keys, want 4", db2.Len())
+	if n := len(db2.Keys("")); n != 4 {
+		t.Errorf("recovered %d keys, want 4", n)
 	}
 }
 
@@ -256,22 +247,54 @@ func TestAutoCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.WALRecords() >= 10 {
-		t.Errorf("WALRecords = %d, auto-compaction did not run", db.WALRecords())
+	if db.walRecs >= 10 {
+		t.Errorf("WAL records = %d, auto-compaction did not run", db.walRecs)
 	}
-	if db.Len() != 3 {
-		t.Errorf("Len = %d, want 3", db.Len())
+	if n := len(db.Keys("")); n != 3 {
+		t.Errorf("%d keys, want 3", n)
 	}
 }
 
+// TestSyncWrites pins that every Put and Probe fsyncs the WAL before
+// it is acknowledged, so a crash right after the ack keeps the write.
 func TestSyncWrites(t *testing.T) {
-	db := open(t, t.TempDir(), func(o *Options) { o.SyncWrites = true })
-	defer db.Close()
-	if err := db.Put("k", []byte("v")); err != nil {
+	mem := faultfs.NewMemFS()
+	walSyncs := 0
+	inj := faultfs.InjectorFunc(func(op faultfs.FaultOp) *faultfs.Fault {
+		if op.Op == faultfs.OpSync && strings.HasSuffix(op.Path, walName) {
+			walSyncs++
+		}
+		return nil
+	})
+	db, err := Open(Options{Dir: "/db", FS: faultfs.NewFaulty(mem, inj)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := db.Get("k"); !ok || string(v) != "v" {
-		t.Errorf("Get = %q, %v", v, ok)
+	for i, write := range []func() error{
+		func() error { return db.Put("k", []byte("v")) },
+		db.Probe,
+		func() error { return db.PutJSON("imcf/mrt", []string{"r1"}) },
+	} {
+		before := walSyncs
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if walSyncs != before+1 {
+			t.Fatalf("write %d acknowledged after %d WAL fsyncs, want 1", i, walSyncs-before)
+		}
+	}
+	mem.Crash()
+
+	db2, err := Open(Options{Dir: "/db", FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close() //nolint:errcheck
+	if v, ok := db2.Get("k"); !ok || string(v) != "v" {
+		t.Errorf("acknowledged put lost to a crash: %q, %v", v, ok)
+	}
+	if _, ok := db2.Get("imcf/mrt"); !ok {
+		t.Error("acknowledged PutJSON lost to a crash")
 	}
 }
 
@@ -282,9 +305,6 @@ func TestClosedOperations(t *testing.T) {
 	}
 	if err := db.Put("k", []byte("v")); err != ErrClosed {
 		t.Errorf("Put after close = %v, want ErrClosed", err)
-	}
-	if err := db.Delete("k"); err != ErrClosed {
-		t.Errorf("Delete after close = %v, want ErrClosed", err)
 	}
 	if err := db.Compact(); err != ErrClosed {
 		t.Errorf("Compact after close = %v, want ErrClosed", err)
@@ -348,18 +368,17 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if db.Len() != 800 {
-		t.Errorf("Len = %d, want 800", db.Len())
+	if n := len(db.Keys("")); n != 800 {
+		t.Errorf("%d keys, want 800", n)
 	}
 }
 
 func TestPropertyStateMatchesModel(t *testing.T) {
-	// Random op sequences applied to both the DB and a plain map, then a
-	// restart — final states must agree.
+	// Random put sequences (overwrites included) applied to both the DB
+	// and a plain map, then a restart — final states must agree.
 	f := func(ops []struct {
 		Key byte
 		Val byte
-		Del bool
 	}) bool {
 		dir, err := os.MkdirTemp("", "storeprop")
 		if err != nil {
@@ -373,17 +392,10 @@ func TestPropertyStateMatchesModel(t *testing.T) {
 		model := map[string][]byte{}
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op.Key%16)
-			if op.Del {
-				if db.Delete(key) != nil {
-					return false
-				}
-				delete(model, key)
-			} else {
-				if db.Put(key, []byte{op.Val}) != nil {
-					return false
-				}
-				model[key] = []byte{op.Val}
+			if db.Put(key, []byte{op.Val}) != nil {
+				return false
 			}
+			model[key] = []byte{op.Val}
 		}
 		db.wal.Close() // crash-style restart
 		db2, err := Open(Options{Dir: dir})
@@ -391,7 +403,7 @@ func TestPropertyStateMatchesModel(t *testing.T) {
 			return false
 		}
 		defer db2.Close()
-		if db2.Len() != len(model) {
+		if len(db2.Keys("")) != len(model) {
 			return false
 		}
 		for k, v := range model {

@@ -87,12 +87,13 @@ echo ">> degraded-mode tests, shuffled"
 ./scripts/gates.sh check Degraded ./internal/daemon
 go test -count=2 -shuffle=on -run Degraded ./internal/daemon
 
-# The fleet and metrics packages, twice over in random order: their
-# metric families are process-global too, so a test that reads one as
-# an absolute instead of against its value before the action fails
-# here.
-echo ">> fleet and metrics tests, twice, shuffled"
-go test -count=2 -shuffle=on ./internal/fleet ./internal/metrics
+# The fleet, metrics, store, persistence and journal packages, twice
+# over in random order: their metric families are process-global too,
+# so a test that reads one as an absolute instead of against its value
+# before the action, or leans on state an earlier test left behind,
+# fails here.
+echo ">> fleet, metrics, store, persistence and journal tests, twice, shuffled"
+go test -count=2 -shuffle=on ./internal/fleet ./internal/metrics ./internal/store ./internal/persistence ./internal/journal
 
 # Tenant-equivalence harness: the multi-home tentpole gate (DESIGN.md
 # §13) — one home hosted solo and hosted as a fleet tenant among noisy
