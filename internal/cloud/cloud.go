@@ -252,27 +252,42 @@ func stripHopByHop(h http.Header) {
 	}
 }
 
-// copyStreaming relays the upstream body. Event-stream responses (the
-// LC's SSE delta feed) are flushed per chunk so batches cross the
-// relay as they are produced, not when the buffer fills.
+// copyBufs holds the proxy's copy buffers. Handing the body to
+// io.Copy instead would take net/http's ReadFrom path, which allocates
+// a fresh 32 KiB buffer for every proxied response.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 16*1024)
+	return &b
+}}
+
+// copyStreaming relays the upstream body through a pooled buffer.
+// Event-stream responses (the LC's SSE delta feed) are flushed per
+// chunk so batches cross the relay as they are produced, not when the
+// buffer fills.
 func copyStreaming(w http.ResponseWriter, resp *http.Response) {
-	fl, canFlush := w.(http.Flusher)
-	if !canFlush || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		io.Copy(w, resp.Body) //nolint:errcheck // best-effort stream to client
-		return
+	var fl http.Flusher
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+		fl, _ = w.(http.Flusher)
 	}
-	// Push the header frame out before blocking on the first upstream
-	// read: the APP's request does not complete until it sees headers,
-	// and an idle stream may not produce a byte for a long time.
-	fl.Flush()
-	buf := make([]byte, 16*1024)
+	if fl != nil {
+		// Push the header frame out before blocking on the first
+		// upstream read: the APP's request does not complete until it
+		// sees headers, and an idle stream may not produce a byte for a
+		// long time.
+		fl.Flush()
+	}
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return
 			}
-			fl.Flush()
+			if fl != nil {
+				fl.Flush()
+			}
 		}
 		if err != nil {
 			return

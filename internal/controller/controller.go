@@ -708,6 +708,14 @@ func (c *Controller) apply(p *stepPlan, traceID string) (StepReport, error) {
 		c.ownerActive[r.Owner]++
 	}
 	if len(c.history) < historyCap {
+		// Grow by append's doubling, except the growth that would pass
+		// historyCap: that one is exactly historyCap, where append would
+		// leave a 256-slot array behind a 168-report ring.
+		if n := len(c.history); n == cap(c.history) && 2*n > historyCap {
+			grown := make([]StepReport, n, historyCap)
+			copy(grown, c.history)
+			c.history = grown
+		}
 		c.history = append(c.history, report)
 	} else {
 		c.history[c.historyAt] = report

@@ -361,6 +361,26 @@ func TestHistoryRing(t *testing.T) {
 	}
 }
 
+// TestHistoryRingNoOvershoot pins the history ring's backing array:
+// it grows with the steps rather than up front, and once full it holds
+// exactly historyCap reports, not append's next doubling.
+func TestHistoryRingNoOvershoot(t *testing.T) {
+	clock := simclock.NewSimClock(time.Date(2015, time.January, 5, 0, 0, 0, 0, time.UTC))
+	c := newController(t, func(cfg *Config) { cfg.Clock = clock })
+	for i := 0; i < historyCap+10; i++ {
+		if _, err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 && cap(c.history) >= historyCap {
+			t.Fatalf("after 4 steps the history holds %d slots, want fewer than %d", cap(c.history), historyCap)
+		}
+		clock.Advance(time.Hour)
+	}
+	if got := cap(c.history); got != historyCap {
+		t.Fatalf("cap(history) = %d after %d steps, want %d", got, historyCap+10, historyCap)
+	}
+}
+
 // TestReportsKeepTheirRuleLists: step scratch is reused, but every
 // report's Executed and Dropped lists are its own, so copies taken as
 // each step returned still equal the history after a day of later

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"github.com/imcf/imcf/internal/metrics"
@@ -169,7 +170,8 @@ const ExhaustiveMaxN = 24
 type Config struct {
 	// K is the number of components flipped per iteration (k-opt).
 	K int
-	// MaxIter is τ_max, the iteration budget of the local search.
+	// MaxIter is τ_max, the iteration budget of the local search, at
+	// most math.MaxInt32.
 	MaxIter int
 	// Init selects the initial solution.
 	Init InitStrategy
@@ -193,6 +195,10 @@ func (c Config) Validate() error {
 	}
 	if c.MaxIter < 0 {
 		return fmt.Errorf("core: max iterations %d negative", c.MaxIter)
+	}
+	// A bit's flip iteration is journaled as an int32.
+	if c.MaxIter > math.MaxInt32 {
+		return fmt.Errorf("core: max iterations %d above %d", c.MaxIter, math.MaxInt32)
 	}
 	if c.Init < InitAllOn || c.Init > InitAllOff {
 		return fmt.Errorf("core: invalid init strategy %d", c.Init)

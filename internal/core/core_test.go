@@ -222,6 +222,14 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, c)
 		}
 	}
+	// FlipIter is journaled as an int32, so τ_max stops at MaxInt32.
+	over := int64(math.MaxInt32) + 1
+	if err := (Config{K: 1, MaxIter: int(over), Init: InitAllOn}).Validate(); err == nil {
+		t.Errorf("MaxIter %d accepted", over)
+	}
+	if err := (Config{K: 1, MaxIter: math.MaxInt32, Init: InitAllOn}).Validate(); err != nil {
+		t.Errorf("MaxIter MaxInt32 rejected: %v", err)
+	}
 }
 
 func TestDeterminism(t *testing.T) {

@@ -1,9 +1,12 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -149,6 +152,41 @@ func TestDaemonJournalDisabled(t *testing.T) {
 	}
 	if code := getStatus(t, "http://"+d.MetricsAddr()+"/debug/decisions"); code != http.StatusOK {
 		t.Fatalf("/debug/decisions = %d, want 200", code)
+	}
+}
+
+// TestDaemonDecisionsBytesMatchEvents preloads events at the edges of
+// the journal ring's packed slot (FlipIter sentinels, int32 limits,
+// zero and sub-second slots) and checks GET /debug/decisions serves,
+// byte for byte, the JSON of those events with the tenant stamped.
+func TestDaemonDecisionsBytesMatchEvents(t *testing.T) {
+	d, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //nolint:errcheck // test cleanup
+	want := []journal.Event{
+		{Seq: 1, Slot: time.Time{}, Rule: "zero", Verdict: journal.VerdictExecuted, FlipIter: journal.FlipNever},
+		{Seq: 2, Slot: time.Date(2021, 4, 12, 7, 0, 0, 0, time.UTC), Window: 3, Rule: "r1", Owner: "Father",
+			Verdict: journal.VerdictDropped, Trace: "4bf92f3577b34da6a3ce929d0e0e4736",
+			EpRemainingKWh: -0.125, EnergyKWh: 0.1, FCEDelta: 1.0 / 3, FlipIter: journal.FlipRepair},
+		{Seq: 3, Slot: time.Date(2021, 4, 12, 7, 59, 59, 999999999, time.UTC), Window: math.MaxInt32, Rule: "r2",
+			Verdict: journal.VerdictExecuted, EpRemainingKWh: 2.5, FlipIter: math.MaxInt32},
+	}
+	for _, ev := range want {
+		d.def.journal.Preload(ev)
+	}
+	for i := range want {
+		want[i].Tenant = d.def.id
+	}
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	rr := httptest.NewRecorder()
+	d.decisionsHandler(rr, httptest.NewRequest("GET", "/debug/decisions", nil))
+	if got := rr.Body.String(); got != body.String() {
+		t.Fatalf("/debug/decisions body:\n got %s\nwant %s", got, body.String())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestAllocsTraceJournalAppend pins the zero-alloc recorder contract:
@@ -43,6 +44,16 @@ func TestAllocsTraceJournalFullRing(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { j.Append(e) }); n != 0 {
 			t.Errorf("cap %d: Append on a full ring allocates %v per op, want 0", capacity, n)
 		}
+	}
+}
+
+// TestAllocsTraceJournalSlotSize pins the ring's packed slot at 104
+// bytes or less: at the default cap a full ring is 4,096 of them per
+// tenant, so a field that widens the slot shows up in every hosted
+// home's heap.
+func TestAllocsTraceJournalSlotSize(t *testing.T) {
+	if size := unsafe.Sizeof(packed{}); size > 104 {
+		t.Fatalf("packed ring slot is %d bytes, want at most 104", size)
 	}
 }
 

@@ -11,11 +11,13 @@
 // the planner's index-based callbacks with rule identity, slot and
 // trace ID) and land in a bounded ring of fixed-size blocks, each
 // allocated the first time the ring reaches it, so a quiet journal
-// holds only the blocks its events fill. Appending is a mutex-guarded
-// slot assignment — one block allocation per blockLen events until the
-// ring reaches its cap, allocation-free after — so recording does not
-// perturb the replay hot path. A caller that wants no provenance
-// installs no journal.
+// holds only the blocks its events fill. A ring slot is a packed
+// 104-byte form of the event, without Tenant, rebuilt into an Event
+// (with its slot in UTC) on read; the sink receives the full Event.
+// Appending is a mutex-guarded slot assignment — one block allocation
+// per blockLen events until the ring reaches its cap, allocation-free
+// after — so recording does not perturb the replay hot path. A caller
+// that wants no provenance installs no journal.
 package journal
 
 import (
@@ -103,9 +105,10 @@ func (v *Verdict) UnmarshalJSON(data []byte) error {
 //
 // Tenant is serving-time decoration only: a multi-home daemon stamps it
 // onto copies when merging per-tenant journals for /debug/decisions.
-// Producers never set it — each tenant's ring and persisted log hold
-// the same bytes a single-home daemon would write, which is what lets
-// the tenant-equivalence harness compare streams bit for bit.
+// Producers never set it and the ring does not store it — each tenant's
+// ring and persisted log hold the same bytes a single-home daemon would
+// write, which is what lets the tenant-equivalence harness compare
+// streams bit for bit.
 type Event struct {
 	Seq            uint64    `json:"seq"`
 	Tenant         string    `json:"tenant,omitempty"`
@@ -141,13 +144,69 @@ type Sink interface {
 	AppendEvent(Event) error
 }
 
+// packed is the ring's 104-byte form of an Event (an Event is 144).
+// The slot is kept as Unix seconds plus nanoseconds (read back in UTC,
+// the form both producers emit), Window and FlipIter as int32 (FlipIter
+// is below core's MaxIter, which Validate caps at math.MaxInt32), and
+// there is no Tenant, which is serving-time decoration. Fields are in
+// decreasing alignment so the struct carries no interior padding.
+type packed struct {
+	seq      uint64
+	sec      int64
+	rem      float64
+	energy   float64
+	fce      float64
+	rule     string
+	owner    string
+	trace    string
+	nsec     int32
+	window   int32
+	flipIter int32
+	verdict  Verdict
+}
+
+// pack returns ev in its ring form.
+func pack(ev Event) packed {
+	return packed{
+		seq:      ev.Seq,
+		sec:      ev.Slot.Unix(),
+		rem:      ev.EpRemainingKWh,
+		energy:   ev.EnergyKWh,
+		fce:      ev.FCEDelta,
+		rule:     ev.Rule,
+		owner:    ev.Owner,
+		trace:    ev.Trace,
+		nsec:     int32(ev.Slot.Nanosecond()),
+		window:   int32(ev.Window),
+		flipIter: int32(ev.FlipIter),
+		verdict:  ev.Verdict,
+	}
+}
+
+// event rebuilds the Event that p was packed from.
+func (p *packed) event() Event {
+	return Event{
+		Seq:            p.seq,
+		Slot:           time.Unix(p.sec, int64(p.nsec)).UTC(),
+		Window:         int(p.window),
+		Rule:           p.rule,
+		Owner:          p.owner,
+		Verdict:        p.verdict,
+		Trace:          p.trace,
+		EpRemainingKWh: p.rem,
+		EnergyKWh:      p.energy,
+		FCEDelta:       p.fce,
+		FlipIter:       int(p.flipIter),
+	}
+}
+
 // Journal is the bounded event ring. It is safe for concurrent use.
 type Journal struct {
 	mu sync.Mutex
 	// blocks holds the ring's slots blockLen at a time; slot i lives in
 	// blocks[i/blockLen], which stays nil until the ring first reaches
 	// it. Blocks are never copied or freed.
-	blocks   [][]Event
+	blocks   [][]packed
 	capacity int
 	at       int
 	n        int
@@ -171,7 +230,7 @@ func New(capacity int) *Journal {
 		capacity = DefaultCap
 	}
 	return &Journal{
-		blocks:   make([][]Event, (capacity+blockLen-1)/blockLen),
+		blocks:   make([][]packed, (capacity+blockLen-1)/blockLen),
 		capacity: capacity,
 	}
 }
@@ -182,9 +241,9 @@ func New(capacity int) *Journal {
 func (j *Journal) put(ev Event) bool {
 	b := j.at / blockLen
 	if j.blocks[b] == nil {
-		j.blocks[b] = make([]Event, min(blockLen, j.capacity-b*blockLen))
+		j.blocks[b] = make([]packed, min(blockLen, j.capacity-b*blockLen))
 	}
-	j.blocks[b][j.at%blockLen] = ev
+	j.blocks[b][j.at%blockLen] = pack(ev)
 	j.at++
 	if j.at == j.capacity {
 		j.at = 0
@@ -197,7 +256,7 @@ func (j *Journal) put(ev Event) bool {
 }
 
 // slot returns the event in ring slot i. The caller holds mu.
-func (j *Journal) slot(i int) Event { return j.blocks[i/blockLen][i%blockLen] }
+func (j *Journal) slot(i int) Event { return j.blocks[i/blockLen][i%blockLen].event() }
 
 // SetSink installs the persistence sink receiving every future event.
 func (j *Journal) SetSink(s Sink) {

@@ -1,12 +1,15 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -335,5 +338,89 @@ func TestSink(t *testing.T) {
 	}
 	if j.Len() != 2 {
 		t.Fatal("sink error lost the ring write")
+	}
+}
+
+// roundTripEvents are events at the edges of the ring's packed slot:
+// both FlipIter sentinels, the int32 limits of Window and FlipIter, a
+// zero slot, sub-second and pre-1970 slots, and float values the slot
+// must keep exact.
+func roundTripEvents() []Event {
+	return []Event{
+		{Slot: time.Time{}, Rule: "zero", Verdict: VerdictExecuted, FlipIter: FlipNever},
+		{
+			Slot: time.Date(2025, 6, 1, 7, 0, 0, 0, time.UTC), Window: 3, Rule: "r1", Owner: "alice",
+			Verdict: VerdictDropped, Trace: "4bf92f3577b34da6a3ce929d0e0e4736",
+			EpRemainingKWh: -0.125, EnergyKWh: 0.1, FCEDelta: 1.0 / 3, FlipIter: FlipRepair,
+		},
+		{
+			Slot: time.Date(2025, 6, 1, 7, 59, 59, 999999999, time.UTC), Window: math.MaxInt32, Rule: "r2",
+			Owner: "bob", Verdict: VerdictExecuted, EpRemainingKWh: math.MaxFloat64,
+			EnergyKWh: math.SmallestNonzeroFloat64, FlipIter: math.MaxInt32,
+		},
+		{
+			Slot: time.Date(1969, 12, 31, 23, 59, 59, 1, time.UTC), Window: 0, Rule: "r3",
+			Verdict: VerdictDropped, FCEDelta: 2.5, FlipIter: 0,
+		},
+	}
+}
+
+// TestRingRoundTripsEvents checks that an event read back from the
+// ring equals, field for field, the event appended — and the event the
+// sink received — and that events preloaded from a persisted log (one
+// JSON line each, as persistence.JournalLog writes them) read back
+// equal too.
+func TestRingRoundTripsEvents(t *testing.T) {
+	in := roundTripEvents()
+	j := New(len(in))
+	sink := &recordingSink{}
+	j.SetSink(sink)
+	want := make([]Event, len(in))
+	for i, e := range in {
+		j.Append(e)
+		e.Seq = uint64(i + 1)
+		want[i] = e
+	}
+	if got := j.Recent(Filter{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Recent after Append:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(sink.got, want) {
+		t.Fatalf("sink received %+v, want %+v", sink.got, want)
+	}
+
+	restarted := New(len(in))
+	for _, e := range want {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Event
+		if err := json.Unmarshal(line, &back); err != nil {
+			t.Fatal(err)
+		}
+		restarted.Preload(back)
+	}
+	if got := restarted.Recent(Filter{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Recent after Preload from the log:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestHandlerBytesMatchEvents checks that /debug/decisions serves, byte
+// for byte, the JSON of the events as they were appended.
+func TestHandlerBytesMatchEvents(t *testing.T) {
+	in := roundTripEvents()
+	j := New(len(in))
+	var want bytes.Buffer
+	for i, e := range in {
+		j.Append(e)
+		in[i].Seq = uint64(i + 1)
+	}
+	if err := json.NewEncoder(&want).Encode(in); err != nil {
+		t.Fatal(err)
+	}
+	rr := httptest.NewRecorder()
+	j.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/decisions", nil))
+	if got := rr.Body.String(); got != want.String() {
+		t.Fatalf("/debug/decisions body:\n got %s\nwant %s", got, want.String())
 	}
 }

@@ -25,11 +25,13 @@ func NewRecorder(j *Journal) *Recorder { return &Recorder{j: j} }
 
 // Bind points the recorder at the plan about to run: its slot, window
 // ordinal and trace ("" when untraced), and its planned rules, where
-// problem index i names rules[planned[i]].
+// problem index i names rules[planned[i]]. The slot is kept in UTC,
+// the form the ring reads it back in, so the sink and the ring carry
+// the same instant written the same way.
 //
 //imcf:noalloc
 func (r *Recorder) Bind(slot time.Time, window int, trace string, rules []rules.MetaRule, planned []int) {
-	r.slot, r.window, r.trace, r.rules, r.planned = slot, window, trace, rules, planned
+	r.slot, r.window, r.trace, r.rules, r.planned = slot.UTC(), window, trace, rules, planned
 }
 
 // RecordDecision implements core.DecisionRecorder. The Flip* sentinels

@@ -40,3 +40,24 @@ func TestRecorderNamesPlannedRules(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderStoresSlotInUTC binds a slot in a non-UTC zone and checks
+// the sink and the ring both receive it as the same UTC time, written
+// the same way.
+func TestRecorderStoresSlotInUTC(t *testing.T) {
+	j := New(8)
+	sink := &recordingSink{}
+	j.SetSink(sink)
+	r := NewRecorder(j)
+	slot := time.Date(2015, time.January, 5, 3, 0, 0, 0, time.FixedZone("CET", 3600))
+	r.Bind(slot, 0, "", []rules.MetaRule{{ID: "a"}}, []int{0})
+	r.RecordDecision(0, true, FlipNever, 1, 0.5, 0)
+
+	evs := j.Recent(Filter{})
+	if len(evs) != 1 || len(sink.got) != 1 {
+		t.Fatalf("ring holds %d events, sink got %d; want 1 each", len(evs), len(sink.got))
+	}
+	if want := slot.UTC(); evs[0].Slot != want || sink.got[0].Slot != want {
+		t.Fatalf("ring slot %v, sink slot %v, want %v", evs[0].Slot, sink.got[0].Slot, want)
+	}
+}
