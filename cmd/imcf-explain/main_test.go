@@ -105,9 +105,19 @@ func TestExplainFromDaemon(t *testing.T) {
 	j.Append(journal.Event{Slot: time.Date(2021, time.January, 9, 3, 0, 0, 0, time.UTC),
 		Rule: "flat/night-heat", Verdict: journal.VerdictDropped,
 		EpRemainingKWh: 2.5, EnergyKWh: 4.2, FCEDelta: 0.5, FlipIter: journal.FlipNever})
-	// The CLI appends /debug/decisions to the daemon base URL.
+	// The CLI appends /debug/decisions to the daemon base URL. The fake
+	// daemon answers it as the real one does: the query parsed by
+	// journal.ParseFilter, the matching events encoded as JSON.
 	mux := http.NewServeMux()
-	mux.Handle("GET /debug/decisions", j.Handler())
+	mux.HandleFunc("GET /debug/decisions", func(w http.ResponseWriter, r *http.Request) {
+		f, err := journal.ParseFilter(r.URL.Query())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(j.Recent(f)) //nolint:errcheck // response committed
+	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

@@ -28,9 +28,11 @@
 // in-process device emulator and commands flow over real loopback HTTP
 // through the meta-control firewall. The metrics listener serves
 // GET /metrics (Prometheus text exposition), GET /healthz,
-// GET /debug/spans, GET /debug/exemplars, GET /debug/decisions (the
-// Energy-Planner decision journal, see cmd/imcf-explain) and
-// GET /debug/trace/{id}; -metrics-addr "" disables it.
+// GET /debug/spans, GET /debug/exemplars, GET /debug/logs (the
+// structured-log ring), GET /debug/decisions (the Energy-Planner
+// decision journal, see cmd/imcf-explain) and GET /debug/trace/{id};
+// -metrics-addr "" disables it. The opt-in -debug-addr listener serves
+// net/http/pprof and POST /debug/flight.
 package main
 
 import (
@@ -64,7 +66,7 @@ func main() {
 		tenants      = flag.String("tenants", "", "comma-separated home IDs for multi-tenant hosting (empty: one single-home tenant)")
 		fleetWorkers = flag.Int("fleet-workers", 1, "tenants planning concurrently per fleet cycle")
 		streamRing   = flag.Int("stream-ring", 0, "decision-stream delta ring capacity per tenant (0: default)")
-		debugAddr    = flag.String("debug-addr", "", "debug listen address for pprof, /debug/logs and POST /debug/flight (empty disables)")
+		debugAddr    = flag.String("debug-addr", "", "debug listen address for pprof and POST /debug/flight (empty disables)")
 		diagnostics  = flag.String("diagnostics", "diagnostics", "flight-recorder bundle directory (empty disables; SIGQUIT dumps a bundle)")
 		logLevel     = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
 	)
@@ -119,10 +121,10 @@ func main() {
 	go handleSignals(d)
 	log.Printf("REST API on %s", d.APIAddr())
 	if ma := d.MetricsAddr(); ma != "" {
-		log.Printf("metrics on http://%s/metrics (health: /healthz)", ma)
+		log.Printf("metrics on http://%s/metrics (health: /healthz, logs: /debug/logs)", ma)
 	}
 	if da := d.DebugAddr(); da != "" {
-		log.Printf("debug on http://%s/debug/pprof/ (logs: /debug/logs, flight: POST /debug/flight)", da)
+		log.Printf("debug on http://%s/debug/pprof/ (flight: POST /debug/flight)", da)
 	}
 	if err := d.Serve(); err != nil {
 		log.Fatalf("imcfd: %v", err)

@@ -21,8 +21,6 @@ var (
 		"Full snapshots fetched by the SDK's stream sync.")
 	syncBatches = metrics.NewCounter("imcf_client_sync_batches_total",
 		"Delta batches applied by the SDK's stream sync.")
-	syncFallbacks = metrics.NewCounter("imcf_client_sync_poll_fallbacks_total",
-		"Sync passes served by the polling fallback (stream unavailable).")
 )
 
 // WatchOptions tunes a Watcher.
@@ -30,20 +28,17 @@ type WatchOptions struct {
 	// Wait is the long-poll hold time requested per delta poll
 	// (?wait=); zero means the server default.
 	Wait time.Duration
-	// PollInterval spaces poll-fallback rebuilds when the controller
-	// has no stream endpoints (default 1s).
-	PollInterval time.Duration
-	// OnUpdate, when set, runs after every applied snapshot, batch, or
-	// poll rebuild — the mirror is current when it fires.
+	// OnUpdate, when set, runs after every applied snapshot or batch —
+	// the mirror is current when it fires.
 	OnUpdate func()
 }
 
 // Watcher maintains a live local mirror of the controller's decision
 // stream: snapshot on connect, long-poll deltas resumed via
-// Last-Event-Seq, automatic re-snapshot when the server answers 409
-// (producer restart or delta-ring gap), and a polling fallback against
-// controllers that predate the stream endpoints. Errors back off with
-// the client's capped-jitter schedule and the watcher keeps trying
+// Last-Event-Seq, and automatic re-snapshot when the server answers 409
+// (producer restart or delta-ring gap). Every controller streams, so
+// there is no other source to fall back to: errors back off with the
+// client's capped-jitter schedule and the watcher keeps reconnecting
 // until its context ends.
 type Watcher struct {
 	c      *Client
@@ -71,44 +66,23 @@ func (w *Watcher) Err() error {
 
 // Watch starts a watcher over the controller's decision stream and
 // returns immediately; the mirror fills in as soon as the first
-// snapshot (or poll rebuild) lands. The watcher runs until ctx ends.
+// snapshot lands. The watcher runs until ctx ends.
 func (c *Client) Watch(ctx context.Context, opts WatchOptions) *Watcher {
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = time.Second
-	}
 	w := &Watcher{c: c, mirror: stream.NewMirror(), opts: opts, done: make(chan struct{})}
 	go w.run(ctx)
 	return w
 }
 
-// run drives the sync loop: stream until an error, fall back to
-// polling when streaming is absent, back off and reconnect otherwise.
+// run drives the sync loop: stream until an error, then back off and
+// reconnect, resuming from the mirror's position.
 func (w *Watcher) run(ctx context.Context) {
 	defer close(w.done)
-	attempt := 0
-	for {
-		err := w.c.streamSync(ctx, w.mirror, w.opts.Wait, w.opts.OnUpdate)
+	for attempt := 1; ; attempt++ {
+		w.c.streamSync(ctx, w.mirror, w.opts.Wait, w.opts.OnUpdate) //nolint:errcheck // every failure is retried until ctx ends
 		if ctx.Err() != nil {
 			w.err = ctx.Err()
 			return
 		}
-		if isNotFound(err) {
-			syncFallbacks.Inc()
-			if err := w.c.PollInto(ctx, w.mirror); err == nil {
-				attempt = 0
-				if w.opts.OnUpdate != nil {
-					w.opts.OnUpdate()
-				}
-			}
-			select {
-			case <-ctx.Done():
-				w.err = ctx.Err()
-				return
-			case <-time.After(w.opts.PollInterval):
-			}
-			continue
-		}
-		attempt++
 		select {
 		case <-ctx.Done():
 			w.err = ctx.Err()
@@ -148,8 +122,7 @@ func (c *Client) Sync(ctx context.Context, m *stream.Mirror) error {
 // only a fresh snapshot helps.
 var errResync = errors.New("client: stream position not resumable")
 
-// isNotFound reports a 404 — from the stream endpoints it is the cue
-// to fall back to polling (streaming disabled or an older controller).
+// isNotFound reports a 404 — from GET /rest/plan, no plan has run yet.
 func isNotFound(err error) bool {
 	var apiErr *APIError
 	return errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound
@@ -232,10 +205,12 @@ func (c *Client) streamDeltas(ctx context.Context, instance string, seq uint64, 
 }
 
 // PollInto rebuilds a mirror's state from the plain REST read surfaces
-// — the pre-stream protocol, kept as the fallback path and as the
-// equivalence harness's reference construction. The resulting state is
-// canonically identical to a stream-maintained mirror's: the same
-// marshaler produced both byte streams and the mirror compacts on Set.
+// — the pre-stream protocol, kept as the equivalence harness's
+// reference construction and as the baseline the sync protocols are
+// priced against. The resulting state is canonically identical to a
+// stream-maintained mirror's: GET /rest/mrt and GET /rest/plan serve
+// the hub's own bytes, the firewall block set is marshalled by the same
+// encoder, and the mirror compacts on Set.
 func (c *Client) PollInto(ctx context.Context, m *stream.Mirror) error {
 	var mrt json.RawMessage
 	if err := c.get(ctx, "/rest/mrt", &mrt); err != nil {

@@ -3,6 +3,8 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,11 +19,50 @@ import (
 	"github.com/imcf/imcf/internal/stream"
 )
 
-// bootStream is boot with a decision-stream hub wired in.
+// bootStream is boot with a decision-stream hub of known instance
+// wired in.
 func bootStream(t *testing.T) (*controller.Controller, *Client, *simclock.SimClock) {
 	t.Helper()
 	hub := stream.NewHub("boot-a", 64)
 	return boot(t, func(cfg *controller.Config) { cfg.Stream = hub })
+}
+
+// memoryMirror is the reference that reads no hub bytes: the
+// controller's in-memory MRT, last plan and firewall block set,
+// marshalled here. GET /rest/mrt and GET /rest/plan serve the hub's
+// stored bytes, so a poll-built mirror alone could not catch a hub
+// that drifted from the controller.
+func memoryMirror(t *testing.T, ctl *controller.Controller) *stream.Mirror {
+	t.Helper()
+	m := stream.NewMirror()
+	set := func(kind stream.Kind, v any) {
+		t.Helper()
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Set("", kind, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(stream.KindMRT, ctl.MRT())
+	if last, ok := ctl.LastStep(); ok {
+		set(stream.KindPlan, last)
+	}
+	set(stream.KindFirewall, ctl.Firewall().Rules())
+	return m
+}
+
+// assertMirrorsEqual fails unless every mirror renders the controller's
+// in-memory state byte for byte.
+func assertMirrorsEqual(t *testing.T, ctl *controller.Controller, mirrors map[string]*stream.Mirror) {
+	t.Helper()
+	want := memoryMirror(t, ctl).Canonical()
+	for name, m := range mirrors {
+		if got := m.Canonical(); !bytes.Equal(got, want) {
+			t.Fatalf("%s mirror\n  %s\n!= controller memory\n  %s", name, got, want)
+		}
+	}
 }
 
 func TestSyncMirrorMatchesPoll(t *testing.T) {
@@ -37,9 +78,7 @@ func TestSyncMirrorMatchesPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(m.Canonical(), polled.Canonical()) {
-		t.Fatalf("sync mirror\n  %s\n!= poll mirror\n  %s", m.Canonical(), polled.Canonical())
-	}
+	assertMirrorsEqual(t, ctl, map[string]*stream.Mirror{"sync": m, "poll": polled})
 	// A second Sync is incremental (delta poll) and stays identical.
 	if _, err := ctl.Step(); err != nil {
 		t.Fatal(err)
@@ -51,13 +90,11 @@ func TestSyncMirrorMatchesPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(m.Canonical(), polled2.Canonical()) {
-		t.Fatalf("incremental sync diverged from poll")
-	}
+	assertMirrorsEqual(t, ctl, map[string]*stream.Mirror{"incremental sync": m, "poll": polled2})
 }
 
 func TestSyncBeforeFirstPlanMatchesPoll(t *testing.T) {
-	_, cl, _ := bootStream(t)
+	ctl, cl, _ := bootStream(t)
 	m := stream.NewMirror()
 	if err := cl.Sync(ctx, m); err != nil {
 		t.Fatal(err)
@@ -66,9 +103,7 @@ func TestSyncBeforeFirstPlanMatchesPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(m.Canonical(), polled.Canonical()) {
-		t.Fatalf("pre-plan sync mirror %s != poll mirror %s", m.Canonical(), polled.Canonical())
-	}
+	assertMirrorsEqual(t, ctl, map[string]*stream.Mirror{"pre-plan sync": m, "pre-plan poll": polled})
 }
 
 func TestWatchFollowsSteps(t *testing.T) {
@@ -99,32 +134,6 @@ func TestWatchFollowsSteps(t *testing.T) {
 	if w.Err() == nil {
 		t.Fatal("stopped watcher reports no error")
 	}
-}
-
-func TestWatchFallsBackToPolling(t *testing.T) {
-	// No hub: the stream endpoints 404 and the watcher must still build
-	// a correct mirror by polling.
-	ctl, cl, _ := boot(t, nil)
-	if _, err := ctl.Step(); err != nil {
-		t.Fatal(err)
-	}
-	ctxw, cancel := context.WithCancel(ctx)
-	defer cancel()
-	updates := make(chan struct{}, 16)
-	w := cl.Watch(ctxw, WatchOptions{
-		PollInterval: 10 * time.Millisecond,
-		OnUpdate:     func() { updates <- struct{}{} },
-	})
-	waitUpdate(t, updates)
-	polled, err := cl.PollMirror(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w.Mirror().Canonical(), polled.Canonical()) {
-		t.Fatalf("fallback mirror diverged from poll reference")
-	}
-	cancel()
-	<-w.Done()
 }
 
 func waitUpdate(t *testing.T, ch <-chan struct{}) {
@@ -196,7 +205,8 @@ func TestWatchResumesAcrossKilledConnections(t *testing.T) {
 		}
 		waitUpdate(t, updates)
 	}
-	// The mirror converged to the hub's exact state.
+	// The mirror converged to the hub's exact state, which is the
+	// controller's.
 	ref := stream.NewMirror()
 	ref.ApplySnapshot(hub.Snapshot())
 	deadline := time.Now().Add(5 * time.Second)
@@ -207,6 +217,7 @@ func TestWatchResumesAcrossKilledConnections(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	assertMirrorsEqual(t, ctl, map[string]*stream.Mirror{"watcher": w.Mirror(), "hub snapshot": ref})
 	// Resume stayed seamless: the mirror still tracks the original
 	// instance at the hub's sequence, and every reconnect resumed via
 	// Last-Event-Seq — the one snapshot served is the initial connect.
@@ -365,9 +376,7 @@ func TestSyncRequestCounts(t *testing.T) {
 		t.Errorf("etag body bytes = %d (first tick %d), poll %d: revalidations moved bodies",
 			etagBytes, firstTickBytes, pollBytes)
 	}
-	if !bytes.Equal(pollMirror.Canonical(), w.Mirror().Canonical()) {
-		t.Fatal("steady-state replicas diverged")
-	}
+	assertMirrorsEqual(t, ctl, map[string]*stream.Mirror{"steady poll": pollMirror, "steady watcher": w.Mirror()})
 	syncMirror := w.Mirror()
 	cancel()
 	<-w.Done()
@@ -385,9 +394,10 @@ func TestSyncRequestCounts(t *testing.T) {
 		if err := syncer.Sync(ctx, syncMirror); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(pollMirror.Canonical(), syncMirror.Canonical()) {
-			t.Fatalf("replicas diverged at step %d", step)
-		}
+		assertMirrorsEqual(t, ctl, map[string]*stream.Mirror{
+			fmt.Sprintf("step %d poll", step): pollMirror,
+			fmt.Sprintf("step %d sync", step): syncMirror,
+		})
 	}
 	pollReqs, pollBytes = pollCT.take()
 	syncReqs, syncBytes := syncCT.take()

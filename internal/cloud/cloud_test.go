@@ -27,7 +27,7 @@ func newSite(t *testing.T, seed uint64) (*controller.Controller, *httptest.Serve
 }
 
 // newStreamSite is newSite with a decision-stream hub whose instance
-// token is instance; "" boots the site without a hub.
+// token is instance; "" leaves the site its default hub.
 func newStreamSite(t *testing.T, seed uint64, instance string) (*controller.Controller, *httptest.Server) {
 	t.Helper()
 	res, err := home.Prototype(seed)

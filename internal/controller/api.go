@@ -34,8 +34,10 @@ import (
 //	GET  /rest/stream                 — decision-stream deltas (long-poll or SSE)
 //	GET  /                            — the embedded panel UI (Fig. 5 stand-in)
 //
-// GET /rest/mrt, /rest/plan and /rest/firewall?rules=only carry stream-
-// versioned ETags and honor If-None-Match with 304.
+// GET /rest/mrt and /rest/plan serve the decision stream's stored bytes
+// for their component under that version's ETag; GET
+// /rest/firewall?rules=only carries the block set's ETag over a body
+// built with the live counters. All three honor If-None-Match with 304.
 //
 // Every route runs behind metrics.TraceMiddleware: an incoming
 // traceparent header is propagated (and echoed on the response) or a
@@ -95,10 +97,7 @@ func API(c *Controller) http.Handler {
 	})
 
 	mux.HandleFunc("GET /rest/mrt", func(w http.ResponseWriter, r *http.Request) {
-		if componentETag(w, r, c.Stream(), stream.KindMRT) {
-			return
-		}
-		writeJSON(w, http.StatusOK, c.MRT())
+		serveComponent(w, r, c.Stream(), stream.KindMRT) // New publishes the MRT
 	})
 
 	mux.HandleFunc("GET /rest/mrt/conflicts", func(w http.ResponseWriter, r *http.Request) {
@@ -143,15 +142,9 @@ func API(c *Controller) http.Handler {
 	})
 
 	mux.HandleFunc("GET /rest/plan", func(w http.ResponseWriter, r *http.Request) {
-		report, ok := c.LastStep()
-		if !ok {
+		if !serveComponent(w, r, c.Stream(), stream.KindPlan) {
 			writeError(w, r, http.StatusNotFound, errors.New("no plan has run yet"))
-			return
 		}
-		if componentETag(w, r, c.Stream(), stream.KindPlan) {
-			return
-		}
-		writeJSON(w, http.StatusOK, report)
 	})
 
 	mux.HandleFunc("GET /rest/summary", func(w http.ResponseWriter, r *http.Request) {
@@ -228,9 +221,13 @@ func API(c *Controller) http.Handler {
 	mux.HandleFunc("GET /rest/firewall", func(w http.ResponseWriter, r *http.Request) {
 		// The ETag versions the block set only; the allowed/dropped
 		// counters advance with every flow check and are not part of
-		// the streamed state.
-		if r.URL.Query().Get("rules") == "only" && componentETag(w, r, c.Stream(), stream.KindFirewall) {
-			return
+		// the streamed state, so the body is built here, not read from
+		// the hub.
+		if r.URL.Query().Get("rules") == "only" {
+			_, seq := c.Stream().Component("", stream.KindFirewall)
+			if componentETag(w, r, c.Stream(), seq) {
+				return
+			}
 		}
 		allowed, dropped := c.Firewall().Counters()
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -240,8 +237,8 @@ func API(c *Controller) http.Handler {
 		})
 	})
 
-	mux.HandleFunc("GET /rest/stream/snapshot", streamSnapshotHandler(c))
-	mux.HandleFunc("GET /rest/stream", streamHandler(c))
+	mux.Handle("GET /rest/stream/snapshot", c.Stream().SnapshotHandler())
+	mux.Handle("GET /rest/stream", c.Stream().DeltaHandler())
 
 	return metrics.TraceMiddleware("http.api", mux)
 }

@@ -2,6 +2,8 @@ package controller
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -126,10 +128,12 @@ type Config struct {
 	// verdict each cycle (see internal/journal); the daemon serves it at
 	// /debug/decisions and persists it across restarts.
 	Journal *journal.Journal
-	// Stream, when set, carries the controller's decision stream: the
-	// MRT on install, and each cycle's planner verdict and firewall
-	// block set, as seq-stamped deltas subscribers resume from
-	// (internal/stream, DESIGN.md §16).
+	// Stream carries the controller's decision stream: the MRT on
+	// install, and each cycle's planner verdict and firewall block set,
+	// as seq-stamped deltas subscribers resume from (internal/stream,
+	// DESIGN.md §16). Its stored bytes are also what GET /rest/mrt and
+	// GET /rest/plan serve. nil creates a hub with a fresh instance
+	// token and the default delta ring.
 	Stream *stream.Hub
 }
 
@@ -253,6 +257,9 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.RealClock{}
 	}
+	if cfg.Stream == nil {
+		cfg.Stream = stream.NewHub(MintStreamInstance(), 0)
+	}
 	cfg.Planner = cfg.Planner.WithDefaults()
 	if cfg.Planner.MaxIter == 0 {
 		cfg.Planner.MaxIter = core.DefaultConfig().MaxIter
@@ -312,23 +319,34 @@ func New(cfg Config) (*Controller, error) {
 			return nil, err
 		}
 	}
-	// Seed the decision stream so a subscriber's first snapshot already
-	// carries the active MRT and the (empty) firewall block set.
-	if cfg.Stream != nil {
-		c.publishStream(stream.KindMRT, c.mrt)
-		c.publishStream(stream.KindFirewall, c.fw.Rules())
-	}
+	// Seed the decision stream so a subscriber's first snapshot, and the
+	// first GET /rest/mrt, already carry the active MRT and the (empty)
+	// firewall block set.
+	c.mrt = withRuleList(c.mrt)
+	c.publishStream(stream.KindMRT, c.mrt)
+	c.publishStream(stream.KindFirewall, c.fw.Rules())
 	return c, nil
 }
 
-// publishStream pushes one component's new value onto the decision
-// stream, when streaming is enabled. Failures are logged rather than
-// returned: the stream observes decisions already made, and any
-// subscriber that misses a delta resynchronizes from a snapshot.
-func (c *Controller) publishStream(kind stream.Kind, v any) {
-	if c.cfg.Stream == nil {
-		return
+// MintStreamInstance returns a fresh 8-byte hex token naming one
+// stream-hub lifetime. It must differ across restarts (sequence numbers
+// are not comparable across hub lifetimes), so it comes from
+// crypto/rand, never from the sim clock. Exhausting the system's
+// entropy source is unrecoverable (the same stance metrics takes for
+// trace IDs).
+func MintStreamInstance() string {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		panic("controller: crypto/rand: " + err.Error())
 	}
+	return hex.EncodeToString(b[:])
+}
+
+// publishStream pushes one component's new value onto the decision
+// stream. Failures are logged rather than returned: the stream observes
+// decisions already made, and any subscriber that misses a delta
+// resynchronizes from a snapshot.
+func (c *Controller) publishStream(kind stream.Kind, v any) {
 	data, err := json.Marshal(v)
 	if err == nil {
 		_, err = c.cfg.Stream.Publish("", kind, data)
@@ -339,8 +357,7 @@ func (c *Controller) publishStream(kind stream.Kind, v any) {
 	}
 }
 
-// Stream exposes the controller's decision stream hub, or nil when
-// streaming is disabled.
+// Stream exposes the controller's decision stream hub.
 func (c *Controller) Stream() *stream.Hub { return c.cfg.Stream }
 
 // Registry exposes the controller's device registry (the Things view).
@@ -361,6 +378,16 @@ func (c *Controller) MRT() rules.MRT {
 	return out
 }
 
+// withRuleList gives an empty table an empty rule list instead of nil,
+// so it renders as "rules":[] wherever it goes, as MRT() copies do:
+// GET /rest/mrt serves the published bytes.
+func withRuleList(t rules.MRT) rules.MRT {
+	if t.Rules == nil {
+		t.Rules = []rules.MetaRule{}
+	}
+	return t
+}
+
 // SetMRT validates, persists, installs and publishes a new Meta-Rule
 // Table, in that order: a table that fails to persist never goes live
 // or onto the stream. The whole install holds stepMu, so MRT writes and
@@ -375,6 +402,7 @@ func (c *Controller) SetMRT(t rules.MRT) error {
 			return fmt.Errorf("controller: rule %s references missing zone %d", r.ID, r.Zone)
 		}
 	}
+	t = withRuleList(t)
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
 	if c.cfg.Store != nil {
@@ -738,10 +766,8 @@ func (c *Controller) apply(p *stepPlan, traceID string) (StepReport, error) {
 
 	// Stream the cycle's outcome: the verdict, then the block set it
 	// left installed.
-	if c.cfg.Stream != nil {
-		c.publishStream(stream.KindPlan, last)
-		c.publishStream(stream.KindFirewall, c.fw.Rules())
-	}
+	c.publishStream(stream.KindPlan, last)
+	c.publishStream(stream.KindFirewall, c.fw.Rules())
 	return report, firstErr
 }
 

@@ -1,7 +1,7 @@
 package controller
 
 import (
-	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -9,19 +9,33 @@ import (
 	"github.com/imcf/imcf/internal/stream"
 )
 
-// componentETag stamps the response with the component's stream
-// version and answers 304 when the request's If-None-Match already
-// names it. With streaming disabled, or a component never published,
-// it does nothing and reports false so the caller serves the full
-// body.
-func componentETag(w http.ResponseWriter, r *http.Request, h *stream.Hub, kind stream.Kind) bool {
-	if h == nil {
-		return false
-	}
-	seq := h.ComponentSeq("", kind)
+// serveComponent answers a GET of one published stream component: the
+// hub's stored bytes plus the newline json.Encoder would end them with,
+// under the ETag of that same version, or 304 when the request's
+// If-None-Match already names it. Body and version come from one
+// locked read (stream.Hub.Component), so a step publishing in between
+// cannot pair one plan's body with another's ETag. It reports false,
+// writing nothing, when the component has never been published.
+func serveComponent(w http.ResponseWriter, r *http.Request, h *stream.Hub, kind stream.Kind) bool {
+	data, seq := h.Component("", kind)
 	if seq == 0 {
 		return false
 	}
+	if componentETag(w, r, h, seq) {
+		return true
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(data)           //nolint:errcheck // response already committed
+	io.WriteString(w, "\n") //nolint:errcheck // response already committed
+	return true
+}
+
+// componentETag stamps the response with the ETag of version seq of a
+// component of h and answers 304 when the request's If-None-Match
+// already names it, reporting true; the caller then writes nothing
+// more.
+func componentETag(w http.ResponseWriter, r *http.Request, h *stream.Hub, seq uint64) bool {
 	tag := `"` + h.Instance() + "." + strconv.FormatUint(seq, 10) + `"`
 	w.Header().Set("ETag", tag)
 	if match := r.Header.Get("If-None-Match"); match != "" && etagMatches(match, tag) {
@@ -44,31 +58,4 @@ func etagMatches(header, tag string) bool {
 		}
 	}
 	return false
-}
-
-// streamSnapshotHandler serves GET /rest/stream/snapshot — the full
-// component state plus the resume coordinates (instance, seq) the
-// delta endpoint continues from. 404 when streaming is disabled.
-func streamSnapshotHandler(c *Controller) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		h := c.Stream()
-		if h == nil {
-			writeError(w, r, http.StatusNotFound, errors.New("streaming is disabled"))
-			return
-		}
-		h.SnapshotHandler()(w, r)
-	}
-}
-
-// streamHandler serves GET /rest/stream — the delta feed (long-poll or
-// SSE; see stream.DeltaHandler). 404 when streaming is disabled.
-func streamHandler(c *Controller) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		h := c.Stream()
-		if h == nil {
-			writeError(w, r, http.StatusNotFound, errors.New("streaming is disabled"))
-			return
-		}
-		h.DeltaHandler()(w, r)
-	}
 }

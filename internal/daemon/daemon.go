@@ -115,9 +115,10 @@ type Options struct {
 	// Logf overrides the daemon's operator log; nil routes through the
 	// structured obs logger (ring + optional JSON-line mirror).
 	Logf func(format string, args ...any)
-	// DebugAddr serves the debug mux — net/http/pprof, /debug/logs and
-	// POST /debug/flight — on its own listener. Empty disables it: the
-	// profiling surface is opt-in (imcfd -debug-addr).
+	// DebugAddr serves the debug mux — net/http/pprof and POST
+	// /debug/flight — on its own listener. Empty disables it: the
+	// profiling surface is opt-in (imcfd -debug-addr). /debug/logs is
+	// on MetricsAddr.
 	DebugAddr string
 	// DiagnosticsDir enables the flight recorder: correlated diagnostic
 	// bundles land under this directory on degraded-mode entry, SLO

@@ -277,3 +277,31 @@ func cutLast(line string) (name, value string, ok bool) {
 	}
 	return line[:i], line[i+1:], true
 }
+
+// TestDaemonDebugRoutesOneListener: each debug route is served by one
+// listener. /debug/logs sits on the metrics listener beside the other
+// /debug/* reads; pprof stays on the opt-in debug listener.
+func TestDaemonDebugRoutesOneListener(t *testing.T) {
+	d, err := New(Options{
+		Addr:            "127.0.0.1:0",
+		MetricsAddr:     "127.0.0.1:0",
+		DebugAddr:       "127.0.0.1:0",
+		Residence:       "prototype",
+		WeeklyBudgetKWh: 165,
+		Logf:            t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //nolint:errcheck
+	d.Start()
+	metricsURL, debugURL := "http://"+d.MetricsAddr(), "http://"+d.DebugAddr()
+	getBodyOK(t, metricsURL+"/debug/logs?limit=5")
+	getBodyOK(t, debugURL+"/debug/pprof/")
+	if code := getStatus(t, debugURL+"/debug/logs"); code != http.StatusNotFound {
+		t.Errorf("debug listener GET /debug/logs = %d, want 404", code)
+	}
+	if code := getStatus(t, metricsURL+"/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("metrics listener GET /debug/pprof/ = %d, want 404", code)
+	}
+}

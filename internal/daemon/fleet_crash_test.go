@@ -120,7 +120,7 @@ func runFleetCrashWorkload(openViews func() (map[string]store.Adapter, func() er
 			return err
 		}}
 	}
-	sched, err := fleet.New(members, fleet.Options{Workers: workers, NoMetrics: true})
+	sched, err := fleet.New(members, fleet.Options{Workers: workers})
 	if err != nil {
 		closeAll() //nolint:errcheck
 		return acked

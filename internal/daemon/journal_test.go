@@ -78,9 +78,12 @@ func TestDaemonJournalEndpointsAndRestart(t *testing.T) {
 		t.Fatal("5 kWh/week budget dropped nothing")
 	}
 	for _, ev := range dropped {
-		if ev.Trace != tc.TraceIDString() {
-			t.Fatalf("event trace %q, want %q", ev.Trace, tc.TraceIDString())
+		if ev.Trace != tc.TraceIDString() || ev.Verdict != journal.VerdictDropped {
+			t.Fatalf("event trace %q verdict %v, want %q dropped", ev.Trace, ev.Verdict, tc.TraceIDString())
 		}
+	}
+	if code := getStatus(t, obs+"/debug/decisions?verdict=maybe"); code != http.StatusBadRequest {
+		t.Fatalf("/debug/decisions with a bad filter = %d, want 400", code)
 	}
 
 	// The trace endpoint ties spans and decisions to the same ID.

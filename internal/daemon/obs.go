@@ -1,7 +1,7 @@
 // Observability wiring: the daemon-side glue between the serving path
 // and internal/obs — the structured access log, the per-tenant SLO
-// feed, the /healthz SLO detail, the opt-in debug listener (pprof,
-// /debug/logs, manual flight triggers) and the flight-recorder taps
+// feed, the /healthz SLO detail, the opt-in debug listener (pprof and
+// manual flight triggers) and the flight-recorder taps
 // that correlate log records, spans and journal events by the
 // triggering tenant and trace.
 package daemon
@@ -120,8 +120,10 @@ func (d *Daemon) healthDetail() map[string]any {
 	return map[string]any{"slo": d.slo.Snapshot(d.clock.Now())}
 }
 
-// debugMux assembles the opt-in debug listener: the pprof surface, the
-// structured-log query endpoint and the manual flight trigger.
+// debugMux assembles the opt-in debug listener: the pprof surface and
+// the manual flight trigger. The structured-log query endpoint,
+// /debug/logs, is served on the metrics listener with the other
+// /debug/* reads.
 func (d *Daemon) debugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -129,7 +131,6 @@ func (d *Daemon) debugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("GET /debug/logs", obs.LogsHandler(obs.DefaultHandler().Ring()))
 	mux.HandleFunc("POST /debug/flight", d.flightHandler)
 	return mux
 }

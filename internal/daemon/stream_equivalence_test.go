@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"github.com/imcf/imcf/internal/client"
+	"github.com/imcf/imcf/internal/controller"
 	"github.com/imcf/imcf/internal/simclock"
 	"github.com/imcf/imcf/internal/stream"
 )
@@ -24,8 +26,11 @@ import (
 // obligation (DESIGN.md §16): a mirror maintained incrementally over
 // the stream — snapshot once, then coalesced deltas — must be
 // BIT-IDENTICAL to a mirror rebuilt from scratch by polling the plain
-// REST read surfaces, cycle after cycle, for every tenant of a fleet,
-// across dropped connections and across a daemon restart. The sync
+// REST read surfaces, and both to the tenant controller's in-memory
+// state marshalled in-process, cycle after cycle, for every tenant of a
+// fleet, across dropped connections and across a daemon restart. The
+// in-memory reference is what keeps the harness independent of the
+// hub: GET /rest/mrt and GET /rest/plan serve the hub's own bytes. The sync
 // path goes through a chaos proxy that slams the TCP connection on
 // every other delta poll, so resume-after-disconnect is exercised
 // constantly; the snapshot counters then prove those disconnects were
@@ -112,10 +117,35 @@ func newStreamEquivDaemon(t *testing.T, dir string, workers int, clk *simclock.S
 	return d
 }
 
+// memoryMirror renders a controller's in-memory MRT, last plan and
+// firewall block set, marshalled here, as a mirror: the reference that
+// reads no hub bytes.
+func memoryMirror(t *testing.T, ctl *controller.Controller) *stream.Mirror {
+	t.Helper()
+	m := stream.NewMirror()
+	set := func(kind stream.Kind, v any) {
+		t.Helper()
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Set("", kind, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(stream.KindMRT, ctl.MRT())
+	if last, ok := ctl.LastStep(); ok {
+		set(stream.KindPlan, last)
+	}
+	set(stream.KindFirewall, ctl.Firewall().Rules())
+	return m
+}
+
 // assertMirrorsConverge syncs every tenant's long-lived mirror (through
-// the chaos proxy) and rebuilds a fresh poll mirror (directly against
-// the daemon), then compares canonical bytes.
-func assertMirrorsConverge(t *testing.T, label string, syncClients map[string]*client.Client,
+// the chaos proxy), rebuilds a fresh poll mirror (directly against the
+// daemon) and renders the tenant controller's memory, then compares
+// canonical bytes.
+func assertMirrorsConverge(t *testing.T, label string, d *Daemon, syncClients map[string]*client.Client,
 	pollClients map[string]*client.Client, mirrors map[string]*stream.Mirror) {
 	t.Helper()
 	ctx := context.Background()
@@ -127,8 +157,13 @@ func assertMirrorsConverge(t *testing.T, label string, syncClients map[string]*c
 		if err != nil {
 			t.Fatalf("%s: tenant %s: poll: %v", label, spec.ID, err)
 		}
-		if got, want := mirrors[spec.ID].Canonical(), polled.Canonical(); !bytes.Equal(got, want) {
-			t.Errorf("%s: tenant %s: sync-maintained mirror diverged from poll-built:\n  sync: %s\n  poll: %s",
+		want := memoryMirror(t, d.Tenant(spec.ID).Controller()).Canonical()
+		if got := mirrors[spec.ID].Canonical(); !bytes.Equal(got, want) {
+			t.Errorf("%s: tenant %s: sync-maintained mirror diverged from controller memory:\n  sync:   %s\n  memory: %s",
+				label, spec.ID, got, want)
+		}
+		if got := polled.Canonical(); !bytes.Equal(got, want) {
+			t.Errorf("%s: tenant %s: poll-built mirror diverged from controller memory:\n  poll:   %s\n  memory: %s",
 				label, spec.ID, got, want)
 		}
 	}
@@ -178,7 +213,7 @@ func TestStreamEquivalence(t *testing.T) {
 					t.Fatalf("cycle %d: %v", cycle, err)
 				}
 				clk.Advance(time.Hour)
-				assertMirrorsConverge(t, fmt.Sprintf("cycle %d", cycle), syncClients, pollClients, mirrors)
+				assertMirrorsConverge(t, fmt.Sprintf("cycle %d", cycle), d, syncClients, pollClients, mirrors)
 			}
 
 			// The chaos proxy really did drop connections, and every drop
@@ -210,13 +245,13 @@ func TestStreamEquivalence(t *testing.T) {
 				pollClients[spec.ID] = pc
 			}
 
-			assertMirrorsConverge(t, "post-restart", syncClients, pollClients, mirrors)
+			assertMirrorsConverge(t, "post-restart", d2, syncClients, pollClients, mirrors)
 			for cycle := 0; cycle < 2; cycle++ {
 				if err := d2.Fleet().Cycle(ctx); err != nil {
 					t.Fatalf("post-restart cycle %d: %v", cycle, err)
 				}
 				clk.Advance(time.Hour)
-				assertMirrorsConverge(t, fmt.Sprintf("post-restart cycle %d", cycle), syncClients, pollClients, mirrors)
+				assertMirrorsConverge(t, fmt.Sprintf("post-restart cycle %d", cycle), d2, syncClients, pollClients, mirrors)
 			}
 			for _, spec := range streamEquivTenants {
 				if n := chaos.snapshots(spec.ID); n != 2 {

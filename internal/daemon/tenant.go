@@ -16,8 +16,6 @@
 package daemon
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
@@ -89,17 +87,6 @@ func ParseTenantID(id string) error {
 		}
 	}
 	return nil
-}
-
-// mintStreamInstance returns a fresh 8-byte hex token naming one
-// stream-hub lifetime. Exhausting the system's entropy source is
-// unrecoverable (the same stance metrics takes for trace IDs).
-func mintStreamInstance() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("daemon: crypto/rand: " + err.Error())
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // tenantStorePrefix is the key prefix routing a tenant's store traffic
@@ -236,9 +223,9 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 	}
 
 	// The instance token marks one hub lifetime: it must differ across
-	// daemon restarts (sequence numbers are not comparable), so it is
-	// minted from crypto/rand, never from the sim clock.
-	hub := stream.NewHub(t.id+"-"+mintStreamInstance(), opts.StreamRingCap)
+	// daemon restarts (sequence numbers are not comparable); the tenant
+	// ID prefix only makes it readable.
+	hub := stream.NewHub(t.id+"-"+controller.MintStreamInstance(), opts.StreamRingCap)
 	cfg.Stream = hub
 	d.closers = append(d.closers, func() error { hub.Close(); return nil })
 

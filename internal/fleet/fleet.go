@@ -98,11 +98,6 @@ type Options struct {
 	// fan-out has drained and OnError has reported — the hook the daemon
 	// evaluates SLO alert states on. Never concurrent with itself.
 	AfterCycle func()
-
-	// NoMetrics disables the per-tenant metric families. Tests and large
-	// simulated fleets would otherwise mint one gauge and counter child
-	// per home on the default registry.
-	NoMetrics bool
 }
 
 // Scheduler fans planning cycles across a tenant fleet. A Scheduler is
@@ -110,12 +105,11 @@ type Options struct {
 // time (the daemon's cron).
 type Scheduler struct {
 	members    []Member         // sorted by ID: deterministic dispatch + report order
-	planGauges []*metrics.Gauge // imcf_fleet_tenant_plan_seconds children, index-aligned with members; nil under NoMetrics
+	planGauges []*metrics.Gauge // imcf_fleet_tenant_plan_seconds children, index-aligned with members
 	workers    int
 	onError    func(id string, err error)
 	observeRes func(id string, seconds float64, err error)
 	afterCycle func()
-	metrics    bool
 
 	mu   sync.Mutex   // serializes Cycle
 	errs []error      // per-member scratch, index-aligned with members
@@ -150,18 +144,15 @@ func New(members []Member, opts Options) (*Scheduler, error) {
 		onError:    opts.OnError,
 		observeRes: opts.ObserveResult,
 		afterCycle: opts.AfterCycle,
-		metrics:    !opts.NoMetrics,
 		errs:       make([]error, len(ms)),
-	}
-	if s.metrics {
-		fleetTenants.Set(float64(len(ms)))
 		// Resolved once: GaugeVec.With takes a family-wide lock and a
 		// map lookup, which every worker would otherwise pay per step.
-		s.planGauges = make([]*metrics.Gauge, len(ms))
-		for i, m := range ms {
-			s.planGauges[i] = tenantPlanSeconds.With(m.ID)
-		}
+		planGauges: make([]*metrics.Gauge, len(ms)),
 	}
+	for i, m := range ms {
+		s.planGauges[i] = tenantPlanSeconds.With(m.ID)
+	}
+	fleetTenants.Set(float64(len(ms)))
 	return s, nil
 }
 
@@ -208,11 +199,9 @@ func (s *Scheduler) Cycle(ctx context.Context) error {
 	//imcf:allow lockdiscipline cycle barrier: workers never touch s.mu, so waiting for them while holding it cannot deadlock
 	wg.Wait()
 
-	if s.metrics {
-		fleetCycles.Inc()
-		//imcf:allow determinism cycle wall time feeds metrics only, never planning results
-		fleetCycleSeconds.Observe(time.Since(start).Seconds())
-	}
+	fleetCycles.Inc()
+	//imcf:allow determinism cycle wall time feeds metrics only, never planning results
+	fleetCycleSeconds.Observe(time.Since(start).Seconds())
 
 	var failed []error
 	for i, err := range s.errs {
@@ -221,9 +210,7 @@ func (s *Scheduler) Cycle(ctx context.Context) error {
 			continue
 		}
 		id := s.members[i].ID
-		if s.metrics {
-			tenantErrors.With(id).Inc()
-		}
+		tenantErrors.With(id).Inc()
 		if s.onError != nil {
 			s.onError(id, err)
 		}
@@ -254,9 +241,7 @@ func (s *Scheduler) work(ctx context.Context) {
 		err := m.Step(ctx)
 		//imcf:allow determinism per-tenant latency feeds metrics/bench observers only
 		sec := time.Since(tStart).Seconds()
-		if s.planGauges != nil {
-			s.planGauges[i].Set(sec)
-		}
+		s.planGauges[i].Set(sec)
 		if s.observeRes != nil {
 			s.observeRes(m.ID, sec, err)
 		}

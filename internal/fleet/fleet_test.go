@@ -68,7 +68,7 @@ func TestSequentialDispatchOrder(t *testing.T) {
 			return nil
 		})
 	}
-	s, err := New([]Member{mk("b"), mk("c"), mk("a")}, Options{Workers: 1, NoMetrics: true})
+	s, err := New([]Member{mk("b"), mk("c"), mk("a")}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWorkerBound(t *testing.T) {
 			return nil
 		}))
 	}
-	s, err := New(members, Options{Workers: workers, NoMetrics: true})
+	s, err := New(members, Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

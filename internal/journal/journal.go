@@ -23,7 +23,6 @@ package journal
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/url"
 	"strconv"
 	"sync"
@@ -397,20 +396,4 @@ func (j *Journal) Recent(f Filter) []Event {
 		out = out[len(out)-f.Limit:]
 	}
 	return out
-}
-
-// Handler serves the journal as JSON with Filter query parameters —
-// the daemon's GET /debug/decisions.
-func (j *Journal) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		f, err := ParseFilter(req.URL.Query())
-		if err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}) //nolint:errcheck // response committed
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(j.Recent(f)) //nolint:errcheck // response committed
-	})
 }

@@ -1,13 +1,11 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"slices"
@@ -266,31 +264,6 @@ func TestParseFilter(t *testing.T) {
 	}
 }
 
-func TestHandler(t *testing.T) {
-	j := New(8)
-	j.Append(ev(0, "ruleA", VerdictDropped))
-	j.Append(ev(1, "ruleB", VerdictExecuted))
-
-	rr := httptest.NewRecorder()
-	j.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/decisions?verdict=dropped", nil))
-	if rr.Code != 200 {
-		t.Fatalf("status = %d", rr.Code)
-	}
-	var got []Event
-	if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(got) != 1 || got[0].Rule != "ruleA" || got[0].Verdict != VerdictDropped {
-		t.Fatalf("filtered events = %+v", got)
-	}
-
-	rr = httptest.NewRecorder()
-	j.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/decisions?verdict=maybe", nil))
-	if rr.Code != 400 {
-		t.Fatalf("bad filter status = %d", rr.Code)
-	}
-}
-
 func TestPreloadRestoresSeq(t *testing.T) {
 	j := New(4)
 	j.Preload(Event{Seq: 7, Rule: "old"})
@@ -402,25 +375,5 @@ func TestRingRoundTripsEvents(t *testing.T) {
 	}
 	if got := restarted.Recent(Filter{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Recent after Preload from the log:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestHandlerBytesMatchEvents checks that /debug/decisions serves, byte
-// for byte, the JSON of the events as they were appended.
-func TestHandlerBytesMatchEvents(t *testing.T) {
-	in := roundTripEvents()
-	j := New(len(in))
-	var want bytes.Buffer
-	for i, e := range in {
-		j.Append(e)
-		in[i].Seq = uint64(i + 1)
-	}
-	if err := json.NewEncoder(&want).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	rr := httptest.NewRecorder()
-	j.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/decisions", nil))
-	if got := rr.Body.String(); got != want.String() {
-		t.Fatalf("/debug/decisions body:\n got %s\nwant %s", got, want.String())
 	}
 }

@@ -56,8 +56,8 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// The metric-backed gauge path (NoMetrics unset) resolves real registry
-// children; distinct tenant labels keep this test's series isolated.
+// Every engine resolves real registry children; distinct tenant labels
+// keep this test's series isolated.
 func TestSLOPublishesGauges(t *testing.T) {
 	s := NewSLO(Config{})
 	now := time.Date(2026, 1, 2, 3, 0, 0, 0, time.UTC)

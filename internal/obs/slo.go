@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/imcf/imcf/internal/metrics"
 )
 
 // The SLO engine turns the fleet scheduler's Observe stream into
@@ -89,16 +91,13 @@ const (
 )
 
 // Config parameterizes the SLO engine. The zero value is a working
-// engine publishing the imcf_slo_* families.
+// engine; every engine publishes the imcf_slo_* families.
 type Config struct {
 	// OnTransition, when set, observes every alert state change at
 	// Evaluate time — the daemon hooks page entries into the flight
 	// recorder. Called synchronously with the engine unlocked, in
 	// tenant order.
 	OnTransition func(tenant string, from, to State)
-	// NoMetrics disables the imcf_slo_* families (tests and large
-	// simulated fleets).
-	NoMetrics bool
 }
 
 // bucket is one time slot of one rolling window.
@@ -216,20 +215,10 @@ type tenantSLO struct {
 	state   State
 	clean   int // consecutive clean evaluations (hysteresis)
 
-	stateG *gaugeRef
-	burnG  [len(windowSpans)]*gaugeRef
-	errG   *gaugeRef
-	p99G   *gaugeRef
-}
-
-// gaugeRef indirects metric children so NoMetrics engines carry nils
-// without branching at every site.
-type gaugeRef struct{ set func(float64) }
-
-func (g *gaugeRef) Set(v float64) {
-	if g != nil {
-		g.set(v)
-	}
+	stateG *metrics.Gauge
+	burnG  [len(windowSpans)]*metrics.Gauge
+	errG   *metrics.Gauge
+	p99G   *metrics.Gauge
 }
 
 // SLO is the per-tenant SLO/burn-rate engine. All methods are safe for
@@ -262,20 +251,16 @@ func (s *SLO) tenantLocked(id string) *tenantSLO {
 	for i := range t.windows {
 		t.windows[i].bucketDur = windowSpans[i] / windowSlots
 	}
-	if !s.cfg.NoMetrics {
-		t.stateG = &gaugeRef{sloState.With(id).Set}
-		for i, name := range windowNames {
-			t.burnG[i] = &gaugeRef{sloBurnRate.With(id, name).Set}
-		}
-		t.errG = &gaugeRef{sloErrorRate.With(id).Set}
-		t.p99G = &gaugeRef{sloLatencyP99.With(id).Set}
+	t.stateG = sloState.With(id)
+	for i, name := range windowNames {
+		t.burnG[i] = sloBurnRate.With(id, name)
 	}
+	t.errG = sloErrorRate.With(id)
+	t.p99G = sloLatencyP99.With(id)
 	s.tenants[id] = t
 	s.order = append(s.order, id)
 	sort.Strings(s.order)
-	if !s.cfg.NoMetrics {
-		sloTenants.Set(float64(len(s.tenants)))
-	}
+	sloTenants.Set(float64(len(s.tenants)))
 	return t
 }
 
@@ -339,9 +324,7 @@ func (s *SLO) Evaluate(now time.Time) {
 		}
 		if t.state != prev {
 			fired = append(fired, transition{tenant: id, from: prev, to: t.state})
-			if !s.cfg.NoMetrics {
-				sloTransitions.With(t.state.String()).Inc()
-			}
+			sloTransitions.With(t.state.String()).Inc()
 		}
 		t.stateG.Set(float64(t.state))
 		for i := range burns {

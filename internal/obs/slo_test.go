@@ -8,18 +8,15 @@ import (
 )
 
 // sloT0 is an arbitrary fixed origin: the engine is driven entirely by
-// explicit timestamps, so tests never touch the wall clock.
+// explicit timestamps, so tests never touch the wall clock. Every
+// engine publishes the process-global imcf_slo_* families, so each
+// test uses tenant labels of its own and reads no global value.
 var sloT0 = time.Date(2026, 1, 2, 3, 0, 0, 0, time.UTC)
-
-func newTestSLO(cfg Config) *SLO {
-	cfg.NoMetrics = true // keep test tenants out of the global registry
-	return NewSLO(cfg)
-}
 
 func TestSLOStateMachine(t *testing.T) {
 	var fired []string
 	// Budget 0.01: warn at an error rate of 0.02, page at 0.1.
-	s := newTestSLO(Config{
+	s := NewSLO(Config{
 		OnTransition: func(tenant string, from, to State) {
 			fired = append(fired, tenant+":"+from.String()+">"+to.String())
 		},
@@ -27,12 +24,12 @@ func TestSLOStateMachine(t *testing.T) {
 
 	// Exactly on budget: burn 1, state ok.
 	now := sloT0
-	s.Observe("h1", now, 0.001, true)
+	s.Observe("slo-machine", now, 0.001, true)
 	for i := 0; i < 99; i++ {
-		s.Observe("h1", now, 0.001, false)
+		s.Observe("slo-machine", now, 0.001, false)
 	}
 	s.Evaluate(now)
-	if got := s.State("h1"); got != StateOK {
+	if got := s.State("slo-machine"); got != StateOK {
 		t.Fatalf("state after on-budget traffic = %v, want ok", got)
 	}
 
@@ -41,27 +38,27 @@ func TestSLOStateMachine(t *testing.T) {
 	// warn entirely.
 	now = now.Add(time.Second)
 	for i := 0; i < 20; i++ {
-		s.Observe("h1", now, 0.001, true)
+		s.Observe("slo-machine", now, 0.001, true)
 	}
 	s.Evaluate(now)
-	if got := s.State("h1"); got != StatePage {
+	if got := s.State("slo-machine"); got != StatePage {
 		t.Fatalf("state after failure burst = %v, want page", got)
 	}
 
 	// Hysteresis: one clean evaluation is not enough to step down...
 	now = now.Add(6 * time.Minute) // both short windows have aged out
 	s.Evaluate(now)
-	if got := s.State("h1"); got != StatePage {
+	if got := s.State("slo-machine"); got != StatePage {
 		t.Fatalf("state after 1 clean evaluation = %v, want page (hysteresis)", got)
 	}
 	// ...the second one is.
 	now = now.Add(time.Second)
 	s.Evaluate(now)
-	if got := s.State("h1"); got != StateOK {
+	if got := s.State("slo-machine"); got != StateOK {
 		t.Fatalf("state after %d clean evaluations = %v, want ok", 2, got)
 	}
 
-	want := []string{"h1:ok>page", "h1:page>ok"}
+	want := []string{"slo-machine:ok>page", "slo-machine:page>ok"}
 	if len(fired) != len(want) {
 		t.Fatalf("transitions %v, want %v", fired, want)
 	}
@@ -73,47 +70,47 @@ func TestSLOStateMachine(t *testing.T) {
 }
 
 func TestSLOWarnBetweenThresholds(t *testing.T) {
-	s := newTestSLO(Config{})
+	s := NewSLO(Config{})
 	now := sloT0
 	// Error rate 0.05: past warn (0.02), short of page (0.1).
 	for i := 0; i < 5; i++ {
-		s.Observe("h1", now, 0.001, true)
+		s.Observe("slo-warn", now, 0.001, true)
 	}
 	for i := 0; i < 95; i++ {
-		s.Observe("h1", now, 0.001, false)
+		s.Observe("slo-warn", now, 0.001, false)
 	}
 	s.Evaluate(now)
-	if got := s.State("h1"); got != StateWarn {
+	if got := s.State("slo-warn"); got != StateWarn {
 		t.Fatalf("state = %v, want warn", got)
 	}
 }
 
 func TestSLOPageNeedsBothWindows(t *testing.T) {
-	s := newTestSLO(Config{})
+	s := NewSLO(Config{})
 	// Old successes keep the 5m window healthy; a fresh 100%-error
 	// minute alone must not page (the multi-window rule).
 	now := sloT0
 	for i := 0; i < 1000; i++ {
-		s.Observe("h1", now, 0.001, false)
+		s.Observe("slo-page", now, 0.001, false)
 	}
 	now = now.Add(2 * time.Minute) // 1m window empty of successes now
 	for i := 0; i < 3; i++ {
-		s.Observe("h1", now, 0.001, true)
+		s.Observe("slo-page", now, 0.001, true)
 	}
 	s.Evaluate(now)
 	// 1m rate = 1.0 (burn 100), 5m rate = 3/1003 (burn < 0.3): no page.
-	if got := s.State("h1"); got == StatePage {
+	if got := s.State("slo-page"); got == StatePage {
 		t.Fatal("paged on a single-window spike; the 5m window should have held it back")
 	}
 }
 
 func TestSLOCardinalityBudget(t *testing.T) {
-	s := newTestSLO(Config{})
+	s := NewSLO(Config{})
 	now := sloT0
 	// tenantBudget+2 homes: the 257th and 258th overflow.
 	var want []string
 	for i := 0; i < tenantBudget+2; i++ {
-		id := fmt.Sprintf("h%03d", i)
+		id := fmt.Sprintf("slo-budget-%03d", i)
 		s.Observe(id, now, 0.001, true)
 		if i < tenantBudget {
 			want = append(want, id)
@@ -139,7 +136,7 @@ func TestSLOCardinalityBudget(t *testing.T) {
 			t.Fatalf("overflow bucket count = %d, want 2", ts.Windows[0].Count)
 		}
 	}
-	if got := s.State(fmt.Sprintf("h%03d", tenantBudget)); got != StateOK {
+	if got := s.State(fmt.Sprintf("slo-budget-%03d", tenantBudget)); got != StateOK {
 		t.Fatalf("overflowed tenant state = %v, want ok (no per-tenant tracking)", got)
 	}
 }
@@ -179,7 +176,7 @@ func refMerge(samples []sloSample, span time.Duration, now time.Time) merged {
 func TestSLOWindowMergeMatchesRecomputation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		s := newTestSLO(Config{})
+		s := NewSLO(Config{})
 		var samples []sloSample
 		now := sloT0
 		steps := 200 + rng.Intn(400)
@@ -194,13 +191,13 @@ func TestSLOWindowMergeMatchesRecomputation(t *testing.T) {
 			now = now.Add(jump)
 			sm := sloSample{at: now, seconds: rng.Float64() * 2, isErr: rng.Intn(3) == 0}
 			samples = append(samples, sm)
-			s.Observe("h1", sm.at, sm.seconds, sm.isErr)
+			s.Observe("slo-merge", sm.at, sm.seconds, sm.isErr)
 
 			if i%17 != 0 {
 				continue
 			}
 			s.mu.Lock()
-			ten := s.tenants["h1"]
+			ten := s.tenants["slo-merge"]
 			for w := range windowSpans {
 				got := ten.windows[w].mergeAt(now)
 				want := refMerge(samples, windowSpans[w], now)
@@ -222,18 +219,18 @@ func TestSLOWindowMergeMatchesRecomputation(t *testing.T) {
 func TestSLOBurnRateMonotoneUnderSustainedErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 5; trial++ {
-		s := newTestSLO(Config{})
+		s := NewSLO(Config{})
 		now := sloT0
 		// A healthy prefix: random successes over ~30 minutes.
 		for i := 0; i < 200; i++ {
 			now = now.Add(time.Duration(rng.Intn(9000)) * time.Millisecond)
-			s.Observe("h1", now, 0.001, false)
+			s.Observe("slo-burn", now, 0.001, false)
 		}
 		// Then sustained failure, one cycle per second.
 		prev := [len(windowSpans)]float64{}
 		for i := 0; i < 400; i++ {
 			now = now.Add(time.Second)
-			s.Observe("h1", now, 0.001, true)
+			s.Observe("slo-burn", now, 0.001, true)
 			snap := s.Snapshot(now)
 			if len(snap) != 1 {
 				t.Fatalf("snapshot has %d tenants, want 1", len(snap))
@@ -257,19 +254,19 @@ func TestSLOBurnRateMonotoneUnderSustainedErrors(t *testing.T) {
 }
 
 func TestSLOSnapshotIsReadOnly(t *testing.T) {
-	s := newTestSLO(Config{})
+	s := NewSLO(Config{})
 	now := sloT0
 	for i := 0; i < 10; i++ {
-		s.Observe("h1", now, 0.001, true)
+		s.Observe("slo-snapshot", now, 0.001, true)
 	}
 	for i := 0; i < 5; i++ {
 		s.Snapshot(now)
 	}
-	if got := s.State("h1"); got != StateOK {
+	if got := s.State("slo-snapshot"); got != StateOK {
 		t.Fatalf("Snapshot advanced the state machine to %v", got)
 	}
 	s.Evaluate(now)
-	if got := s.State("h1"); got != StatePage {
+	if got := s.State("slo-snapshot"); got != StatePage {
 		t.Fatalf("Evaluate left state %v, want page", got)
 	}
 }

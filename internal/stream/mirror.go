@@ -137,7 +137,7 @@ func (m *Mirror) Canonical() []byte {
 }
 
 // Set installs a component value directly — the poll-built
-// construction path (fallback mode and the equivalence harness). The
+// construction path (PollInto and the equivalence harnesses). The
 // value is compacted to the same canonical bytes Publish would store;
 // like Publish, Set keeps data itself when it is already compact.
 func (m *Mirror) Set(site string, kind Kind, data []byte) error {

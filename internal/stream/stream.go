@@ -210,13 +210,17 @@ func (h *Hub) Seq() uint64 {
 	return h.seq
 }
 
-// ComponentSeq returns the sequence number of the last change to
-// (site, kind) — the version the read surfaces expose as an ETag. Zero
-// means the component has never been published.
-func (h *Hub) ComponentSeq(site string, kind Kind) uint64 {
+// Component returns the current value of (site, kind) and the sequence
+// number of the change that installed it — the body and the ETag
+// version of a read surface, taken in one locked read so they always
+// belong together. A zero seq (and nil data) means the component has
+// never been published. The data is the hub's own; callers must not
+// modify it.
+func (h *Hub) Component(site string, kind Kind) (data json.RawMessage, seq uint64) {
+	key := componentKey(site, kind)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.compSeq[componentKey(site, kind)]
+	return h.state[key], h.compSeq[key]
 }
 
 // Snapshot returns the full current state.

@@ -43,11 +43,16 @@ func TestPublishSnapshotRoundTrip(t *testing.T) {
 	if string(snap.State["mrt"]) != `{"rules":3}` {
 		t.Fatalf("mrt component = %s", snap.State["mrt"])
 	}
-	if h.ComponentSeq("", KindMRT) != 1 || h.ComponentSeq("", KindFirewall) != 2 {
-		t.Fatalf("component seqs = %d, %d", h.ComponentSeq("", KindMRT), h.ComponentSeq("", KindFirewall))
+	mrt, mrtSeq := h.Component("", KindMRT)
+	fw, fwSeq := h.Component("", KindFirewall)
+	if mrtSeq != 1 || fwSeq != 2 {
+		t.Fatalf("component seqs = %d, %d", mrtSeq, fwSeq)
 	}
-	if h.ComponentSeq("", KindPlan) != 0 {
-		t.Fatal("unpublished component has a version")
+	if string(mrt) != `{"rules":3}` || string(fw) != `["-A OUTPUT -s 10.0.0.9 -j DROP"]` {
+		t.Fatalf("component data = %s, %s", mrt, fw)
+	}
+	if data, seq := h.Component("", KindPlan); seq != 0 || data != nil {
+		t.Fatalf("unpublished component = %s at %d", data, seq)
 	}
 }
 

@@ -111,8 +111,10 @@ go test -count=1 -run "$equiv_gate" ./internal/daemon
 # Stream suite, the delta-sync gate (DESIGN.md §16): a mirror maintained
 # over the stream protocol — through a chaos proxy dropping every other
 # delta poll, and across a daemon restart — must stay bit-identical to
-# one rebuilt by polling, for every fleet tenant; and SSE deltas must
-# cross the cloud relay's proxy while the connection is live.
+# one rebuilt by polling and to the controller's memory, for every
+# fleet tenant; SSE deltas must cross the cloud relay's proxy while the
+# connection is live; and GET /rest/plan, racing planning steps, must
+# serve every body under its own ETag.
 echo ">> stream suite"
 ./scripts/gates.sh stream
 

@@ -15,8 +15,10 @@
 #           on a shared WAL, and the daemon degraded-mode e2e tests
 #           (DESIGN.md §11–§13, §15)
 #   stream  the stream-equivalence harness (a sync-maintained mirror
-#           bit-identical to a poll-built one, DESIGN.md §16) and SSE
-#           deltas crossing the cloud relay's proxy
+#           bit-identical to a poll-built one and to controller memory,
+#           DESIGN.md §16), SSE deltas crossing the cloud relay's proxy,
+#           and GET /rest/plan pairing each body with its own ETag while
+#           steps publish
 #   fleet   the tenant-equivalence harness and the multi-tenant crash
 #           suite (DESIGN.md §13)
 #   ep      the Energy Planner's one step: the controller and the sim
@@ -31,8 +33,8 @@ cd "$(dirname "$0")/.."
 crash_gate='CrashRecoveryEveryFailpoint|CompactionRenameDurability|FailedCompactionLeavesCleanErrors|ProbeRecordsAreInvisible|JournalCrashRecoveryEveryFailpoint|JournalSyncCadence|DaemonDegradedMode|FleetCrashSharedWAL|RecorderCrashEveryFailpoint|DaemonDegradedFlightBundleCorrelation'
 crash_pkgs='./internal/store ./internal/persistence ./internal/daemon ./internal/obs'
 
-stream_gate='StreamEquivalence|ProxyStreamsSSE'
-stream_pkgs='./internal/daemon ./internal/cloud'
+stream_gate='StreamEquivalence|ProxyStreamsSSE|PlanBodyMatchesETag'
+stream_pkgs='./internal/daemon ./internal/cloud ./internal/controller'
 
 fleet_gate='FleetTenantEquivalence|FleetCrashSharedWAL'
 fleet_pkgs='./internal/daemon'

@@ -65,12 +65,12 @@ if [ -z "$ready" ]; then
     exit 1
 fi
 
-# The structured-log endpoint answers on the debug listener.
-if ! curl -fsS "$dbg/debug/logs?limit=5" >/dev/null; then
+# The structured-log endpoint answers on the metrics listener.
+if ! curl -fsS "$obs/debug/logs?limit=5" >/dev/null; then
     echo "obs-smoke: FAIL — /debug/logs not served" >&2
     exit 1
 fi
-# And so does the pprof index.
+# The pprof index answers on the debug listener.
 if ! curl -fsS "$dbg/debug/pprof/" >/dev/null; then
     echo "obs-smoke: FAIL — /debug/pprof/ not served" >&2
     exit 1
