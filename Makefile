@@ -53,9 +53,9 @@ crash-suite:
 # stream-suite reruns the delta-sync proof obligations in isolation,
 # verbosely: the stream-equivalence harness (sync-maintained mirror
 # bit-identical to poll-built and to controller memory, workers 1 and
-# 8, across chaos-proxy disconnects and a daemon restart), SSE deltas
-# crossing the cloud relay's proxy, and GET /rest/plan racing steps
-# (each body under its own ETag). Part of check.
+# 8, across chaos-proxy disconnects and a daemon restart), a delta
+# long-poll crossing the cloud relay's proxy, and GET /rest/plan racing
+# steps (each body under its own ETag). Part of check.
 stream-suite:
 	./scripts/gates.sh stream -v
 

@@ -187,7 +187,7 @@ func fromDaemon(base string, f journal.Filter) ([]journal.Event, error) {
 
 // fromFile replays a persisted journal and filters client-side.
 func fromFile(path string, f journal.Filter) ([]journal.Event, error) {
-	jl, err := persistence.OpenJournalFile(path)
+	jl, err := persistence.OpenJournalFile(path, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 func writeDump(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "decisions.jnl")
-	jl, err := persistence.OpenJournalFile(path)
+	jl, err := persistence.OpenJournalFile(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func writeTenantDump(t *testing.T) string {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		jl, err := persistence.OpenJournalFile(filepath.Join(dir, persistence.JournalFile))
+		jl, err := persistence.OpenJournalFile(filepath.Join(dir, persistence.JournalFile), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

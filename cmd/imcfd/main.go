@@ -1,7 +1,7 @@
 // Command imcfd runs the IMCF Local Controller as a daemon: it builds a
 // residence, optionally starts emulated Daikin/Hue devices and drives
-// them over HTTP, schedules the Energy Planner on a cron interval, and
-// serves the openHAB-style REST API plus Prometheus metrics.
+// them over HTTP, runs the Energy Planner every -interval, and serves
+// the openHAB-style REST API plus Prometheus metrics.
 //
 // Usage:
 //
@@ -10,19 +10,23 @@
 //	      [-tenants h1,h2,...] [-fleet-workers 8]
 //
 // Every home is a tenant with its own controller, decision journal and
-// health, served under /t/<id>/rest/...; the un-prefixed routes and
-// /healthz serve the first one. Without -tenants the daemon hosts one
-// home, ID "home", on the single-home on-disk layout (un-prefixed store
-// keys, decision log directly under -persist). With -tenants, each
-// comma-separated home ID becomes a tenant with its own store namespace
-// and persist subdirectory; per-home trace seeds derive from -seed plus
-// the tenant's position. Either way the cron job plans every home
+// health, served under /t/<id>/rest/...; the un-prefixed routes serve
+// the first one, and /healthz reports its liveness. All homes share one
+// store: a disk fault any home confirms turns every home read-only
+// until a probe sees the disk recover, and /healthz reports it.
+// Without -tenants the daemon hosts one home, ID "home", on the
+// single-home on-disk layout (un-prefixed store keys, decision log
+// directly under -persist). With -tenants, each comma-separated home
+// ID becomes a tenant with its own store namespace and persist
+// subdirectory; per-home trace seeds derive from -seed plus the
+// tenant's position. Either way each -interval plans every home
 // through the fleet scheduler; -fleet-workers bounds how many homes
-// plan concurrently per cycle.
+// plan concurrently per cycle. The decision journal fsyncs every
+// event.
 //
 // Each tenant also serves the delta-sync decision stream (DESIGN.md
-// §16) at /rest/stream/snapshot and /rest/stream; -stream-ring sizes
-// its delta ring (0 means the default, 256 events).
+// §16) at /rest/stream/snapshot and /rest/stream (long-poll, with a
+// delta ring of 256 events).
 //
 // With -emulate, every HVAC and light in the residence gets an
 // in-process device emulator and commands flow over real loopback HTTP
@@ -62,10 +66,8 @@ func main() {
 		persist      = flag.String("persist", "", "directory for measurement persistence (empty disables)")
 		mode         = flag.String("mode", "EP", "planning mode: EP, IFTTT or manual")
 		journalCap   = flag.Int("journal-cap", daemon.DefaultJournalCap, "decision journal ring capacity per tenant (0 means the default; negative is rejected)")
-		journalSync  = flag.Int("journal-sync", 1, "fsync the decision journal every N events (negative: only on shutdown)")
 		tenants      = flag.String("tenants", "", "comma-separated home IDs for multi-tenant hosting (empty: one single-home tenant)")
 		fleetWorkers = flag.Int("fleet-workers", 1, "tenants planning concurrently per fleet cycle")
-		streamRing   = flag.Int("stream-ring", 0, "decision-stream delta ring capacity per tenant (0: default)")
 		debugAddr    = flag.String("debug-addr", "", "debug listen address for pprof and POST /debug/flight (empty disables)")
 		diagnostics  = flag.String("diagnostics", "diagnostics", "flight-recorder bundle directory (empty disables; SIGQUIT dumps a bundle)")
 		logLevel     = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
@@ -93,25 +95,23 @@ func main() {
 	}
 
 	d, err := daemon.New(daemon.Options{
-		Addr:             *addr,
-		MetricsAddr:      *metricsAddr,
-		Residence:        *residence,
-		Seed:             *seed,
-		Tenants:          specs,
-		FleetWorkers:     *fleetWorkers,
-		StoreDir:         *storeDir,
-		StoreBackend:     *storeBackend,
-		PersistDir:       *persist,
-		MRTPath:          *mrtPath,
-		Mode:             *mode,
-		Interval:         *interval,
-		WeeklyBudgetKWh:  *weekly,
-		Emulate:          *emulate,
-		JournalCap:       *journalCap,
-		JournalSyncEvery: *journalSync,
-		StreamRingCap:    *streamRing,
-		DebugAddr:        *debugAddr,
-		DiagnosticsDir:   *diagnostics,
+		Addr:            *addr,
+		MetricsAddr:     *metricsAddr,
+		Residence:       *residence,
+		Seed:            *seed,
+		Tenants:         specs,
+		FleetWorkers:    *fleetWorkers,
+		StoreDir:        *storeDir,
+		StoreBackend:    *storeBackend,
+		PersistDir:      *persist,
+		MRTPath:         *mrtPath,
+		Mode:            *mode,
+		Interval:        *interval,
+		WeeklyBudgetKWh: *weekly,
+		Emulate:         *emulate,
+		JournalCap:      *journalCap,
+		DebugAddr:       *debugAddr,
+		DiagnosticsDir:  *diagnostics,
 	})
 	if err != nil {
 		log.Fatalf("imcfd: %v", err)

@@ -86,7 +86,8 @@ budget "Cap" limit 165 kWh
 		t.Fatalf("mrt = %+v", mrtBody)
 	}
 
-	// The cron schedule fires EP cycles against the emulated devices.
+	// The daemon's schedule loop fires EP cycles against the emulated
+	// devices.
 	deadline := time.Now().Add(20 * time.Second)
 	var steps int
 	for time.Now().Before(deadline) {

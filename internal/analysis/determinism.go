@@ -26,7 +26,7 @@ var determinismExcluded = map[string]string{
 	"internal/faultfs":     "test seam for crash injection, not replay-path code",
 	"internal/store":       "durability engine: fsync-latency metrics sample the wall clock",
 	"internal/persistence": "recording service: segment names and sync cadences are wall-time-based",
-	"internal/daemon":      "serving process: cron scheduling and uptime reporting read real time",
+	"internal/daemon":      "serving process: the schedule loop and uptime reporting read real time",
 	"internal/controller":  "serving path: cron cadence is wall-time-driven",
 	"internal/cloud":       "relay: request timing and backoff are wall-time-driven",
 	"internal/client":      "SDK: retry backoff jitter is wall-time-driven",

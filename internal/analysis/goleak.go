@@ -7,8 +7,8 @@ import (
 )
 
 // goLeakPackages are the long-lived serving processes where an
-// unjoined goroutine outlives its owner: the daemon, the fleet
-// scheduler and the controller's cron.
+// unjoined goroutine outlives its owner: the daemon with its schedule
+// loop, the fleet scheduler and the controller.
 var goLeakPackages = []string{
 	"internal/daemon",
 	"internal/fleet",

@@ -309,7 +309,7 @@ func taintCall(info *types.Info, call *ast.CallExpr, s *taintState, rep *Reporte
 	// Path sinks: per-tenant persistence roots.
 	if pkgPathInScope(pkgPath, "internal/persistence") && len(call.Args) >= 1 {
 		switch fn {
-		case "Open", "OpenJournal", "OpenJournalOpts", "OpenJournalFile":
+		case "Open", "OpenFS", "OpenJournal", "OpenJournalFile":
 			if dynTainted(info, s, call.Args[0]) {
 				rep.Report(call.Args[0].Pos(), RuleTenantIsolation,
 					"on-disk path %s is assembled ad hoc: derive tenant directories via tenantDir",

@@ -39,10 +39,11 @@ func RawNamespace(ad store.Adapter, id string) store.Adapter {
 }
 
 // RawDir assembles the per-tenant directory ad hoc — positives for
-// both the persistence path sink and the store Dir field.
+// the persistence path sinks and the store Dir field.
 func RawDir(base, id string) store.Options {
 	dir := filepath.Join(base, "tenants", id)
 	persistence.Open(dir)
+	persistence.OpenFS(dir, nil)
 	return store.Options{Dir: dir}
 }
 

@@ -9,6 +9,9 @@ type Service struct{ dir string }
 // Open opens a persistence directory.
 func Open(dir string) *Service { return &Service{dir: dir} }
 
+// OpenFS opens a persistence directory through a file layer.
+func OpenFS(dir string, fs any) *Service { return &Service{dir: dir} }
+
 // Journal is the fixture decision log.
 type Journal struct{ path string }
 

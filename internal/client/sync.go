@@ -74,11 +74,17 @@ func (c *Client) Watch(ctx context.Context, opts WatchOptions) *Watcher {
 }
 
 // run drives the sync loop: stream until an error, then back off and
-// reconnect, resuming from the mirror's position.
+// reconnect, resuming from the mirror's position. The backoff counts
+// consecutive failed sessions only: a session that applied a snapshot
+// or a batch starts the count over.
 func (w *Watcher) run(ctx context.Context) {
 	defer close(w.done)
 	for attempt := 1; ; attempt++ {
-		w.c.streamSync(ctx, w.mirror, w.opts.Wait, w.opts.OnUpdate) //nolint:errcheck // every failure is retried until ctx ends
+		// Every failure is retried until ctx ends, so the error only
+		// ends the session.
+		if applied, _ := w.c.streamSync(ctx, w.mirror, w.opts.Wait, w.opts.OnUpdate); applied {
+			attempt = 1
+		}
 		if ctx.Err() != nil {
 			w.err = ctx.Err()
 			return
@@ -129,33 +135,37 @@ func isNotFound(err error) bool {
 }
 
 // streamSync runs one streaming session of delta polls until an
-// error. A mirror that has synced before resumes from its own position
-// — a dropped connection costs no snapshot, only a reconnect — and
+// error, and reports whether it applied anything before it ended. A
+// mirror that has synced before resumes from its own position — a
+// dropped connection costs no snapshot, only a reconnect — and
 // snapshots are fetched only when the mirror is fresh or the server
 // answers 409 (producer restart or delta-ring gap). Every applied
 // update fires onUpdate.
-func (c *Client) streamSync(ctx context.Context, m *stream.Mirror, wait time.Duration, onUpdate func()) error {
+func (c *Client) streamSync(ctx context.Context, m *stream.Mirror, wait time.Duration, onUpdate func()) (applied bool, err error) {
 	if instance, _ := m.Position(); instance == "" {
 		if err := c.resnapshot(ctx, m, onUpdate); err != nil {
-			return err
+			return false, err
 		}
+		applied = true
 	}
 	for {
 		instance, seq := m.Position()
 		b, err := c.streamDeltas(ctx, instance, seq, wait)
 		if errors.Is(err, errResync) {
 			if err := c.resnapshot(ctx, m, onUpdate); err != nil {
-				return err
+				return applied, err
 			}
+			applied = true
 			continue
 		}
 		if err != nil {
-			return err
+			return applied, err
 		}
 		syncBatches.Inc()
 		if err := m.ApplyBatch(b); err != nil {
-			return err
+			return applied, err
 		}
+		applied = true
 		if len(b.Events) > 0 && onUpdate != nil {
 			onUpdate()
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -406,5 +407,105 @@ func TestSyncRequestCounts(t *testing.T) {
 	}
 	if syncBytes >= pollBytes {
 		t.Errorf("changing sync body bytes %d not below poll %d", syncBytes, pollBytes)
+	}
+}
+
+// flakyStream serves a bare hub's stream and answers 503 to every other
+// delta poll. Before each poll it lets through, it publishes one event,
+// so every watcher session applies exactly one batch and then fails. It
+// records the gap between each 503 and the next delta poll: the
+// watcher's reconnect delay.
+type flakyStream struct {
+	hub  *stream.Hub
+	mux  *http.ServeMux
+	mu   sync.Mutex
+	fail bool      // the next delta poll answers 503
+	shed time.Time // when the last 503 went out; zero once the watcher is back
+	n    int       // events published
+	gaps []time.Duration
+}
+
+func newFlakyStream() *flakyStream {
+	f := &flakyStream{hub: stream.NewHub("flaky", 64), mux: http.NewServeMux()}
+	f.mux.Handle("/rest/stream/snapshot", f.hub.SnapshotHandler())
+	f.mux.Handle("/rest/stream", f.hub.DeltaHandler())
+	return f
+}
+
+func (f *flakyStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/rest/stream" {
+		f.mux.ServeHTTP(w, r)
+		return
+	}
+	f.mu.Lock()
+	now := time.Now()
+	if !f.shed.IsZero() {
+		f.gaps = append(f.gaps, now.Sub(f.shed))
+		f.shed = time.Time{}
+	}
+	fail := f.fail
+	f.fail = !f.fail
+	if fail {
+		f.shed = now
+	} else {
+		f.n++
+		if _, err := f.hub.Publish("", stream.KindPlan, []byte(fmt.Sprintf(`{"n":%d}`, f.n))); err != nil {
+			f.mu.Unlock()
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+	}
+	f.mu.Unlock()
+	if fail {
+		http.Error(w, "shedding load", http.StatusServiceUnavailable)
+		return
+	}
+	f.mux.ServeHTTP(w, r)
+}
+
+func (f *flakyStream) reconnects() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.gaps)
+}
+
+// TestWatchBackoffResetsAfterProgress: the watcher's backoff counts
+// consecutive failed sessions only. Every other delta poll fails, but
+// every session in between applies a batch, so each reconnect waits
+// the first backoff step (at most 10 ms), not a delay that grows with
+// the watcher's age. From the eighth reconnect on, a backoff that never
+// reset would wait at least backoff(8)'s floor of 640 ms.
+func TestWatchBackoffResetsAfterProgress(t *testing.T) {
+	const reconnects = 12
+	floor := backoffBase << 7 / 2 // backoff(8) is jittered into [floor, 2*floor]
+	f := newFlakyStream()
+	srv := httptest.NewServer(f)
+	t.Cleanup(srv.Close)
+	cl, err := New(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxw, cancel := context.WithCancel(ctx)
+	w := cl.Watch(ctxw, WatchOptions{Wait: 2 * time.Second})
+	defer func() {
+		cancel()
+		<-w.Done()
+	}()
+
+	var gaps []time.Duration
+	for deadline := time.Now().Add(30 * time.Second); len(gaps) < reconnects; gaps = f.reconnects() {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d reconnects in 30s: %v", len(gaps), gaps)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i := 7; i < len(gaps); i++ {
+		if gaps[i] >= floor {
+			t.Fatalf("reconnect %d waited %v although every session applied a batch, want under %v (gaps %v)",
+				i+1, gaps[i], floor, gaps)
+		}
+	}
+	if _, seq := w.Mirror().Position(); seq == 0 {
+		t.Fatal("the watcher applied no batch")
 	}
 }

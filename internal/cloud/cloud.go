@@ -194,10 +194,10 @@ func (r *Relay) proxy(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
 	}
-	// Forward the APP's end-to-end request headers (Accept matters: it
-	// selects the LC's SSE delta transport) but not its hop-by-hop set,
-	// and not Authorization — the bearer token authenticates to the
-	// relay, not to the site.
+	// Forward the APP's end-to-end request headers (the delta feed's
+	// Stream-Instance and Last-Event-Seq among them) but not its
+	// hop-by-hop set, and not Authorization — the bearer token
+	// authenticates to the relay, not to the site.
 	out.Header = req.Header.Clone()
 	stripHopByHop(out.Header)
 	out.Header.Del("Authorization")
@@ -227,7 +227,7 @@ func (r *Relay) proxy(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	copyStreaming(w, resp)
+	copyBody(w, resp.Body)
 }
 
 // hopByHopHeaders are connection-scoped per RFC 9110 §7.6.1 and must
@@ -260,33 +260,16 @@ var copyBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// copyStreaming relays the upstream body through a pooled buffer.
-// Event-stream responses (the LC's SSE delta feed) are flushed per
-// chunk so batches cross the relay as they are produced, not when the
-// buffer fills.
-func copyStreaming(w http.ResponseWriter, resp *http.Response) {
-	var fl http.Flusher
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		fl, _ = w.(http.Flusher)
-	}
-	if fl != nil {
-		// Push the header frame out before blocking on the first
-		// upstream read: the APP's request does not complete until it
-		// sees headers, and an idle stream may not produce a byte for a
-		// long time.
-		fl.Flush()
-	}
+// copyBody relays the upstream body through a pooled buffer.
+func copyBody(w io.Writer, body io.Reader) {
 	bp := copyBufs.Get().(*[]byte)
 	defer copyBufs.Put(bp)
 	buf := *bp
 	for {
-		n, err := resp.Body.Read(buf)
+		n, err := body.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return
-			}
-			if fl != nil {
-				fl.Flush()
 			}
 		}
 		if err != nil {

@@ -1,9 +1,7 @@
 package cloud
 
 import (
-	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -393,56 +391,77 @@ func TestProxyPreservesQueryParams(t *testing.T) {
 	}
 }
 
-// TestProxyStreamsSSEThroughRelay proves the relay's body copy flushes
-// event-stream responses chunk by chunk: an SSE batch published after
-// the connection is up must arrive while the upstream holds the
-// connection open — a buffered io.Copy would sit on it until EOF.
-func TestProxyStreamsSSEThroughRelay(t *testing.T) {
-	c, lc := newStreamSite(t, 42, "boot-sse")
+// TestProxyStreamsLongPollThroughRelay proves a delta long-poll crosses
+// the relay whole: the resume position travels to the site in the
+// Stream-Instance and Last-Event-Seq request headers, the poll parks at
+// the site until a step publishes, and the batch comes back, well
+// before the poll's wait runs out, with the next position in the same
+// two response headers.
+func TestProxyStreamsLongPollThroughRelay(t *testing.T) {
+	c, _ := newStreamSite(t, 42, "boot-poll")
+	api := controller.API(c)
+	arrived := make(chan struct{}, 1)
+	lc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/rest/stream" {
+			select {
+			case arrived <- struct{}{}:
+			default:
+			}
+		}
+		api.ServeHTTP(w, r)
+	}))
+	t.Cleanup(lc.Close)
 	relay := newRelay(t, "", map[string]string{"home": lc.URL})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		relay.URL+"/cc/sites/home/rest/stream?instance=boot-sse&seq="+
-			strconv.FormatUint(c.Stream().Seq(), 10), nil)
+	seq := c.Stream().Seq()
+	req, err := http.NewRequest(http.MethodGet, relay.URL+"/cc/sites/home/rest/stream?wait=5", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	req.Header.Set("Stream-Instance", "boot-poll")
+	req.Header.Set("Last-Event-Seq", strconv.FormatUint(seq, 10))
+	type result struct {
+		resp *http.Response
+		err  error
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		t.Fatalf("Content-Type through relay = %q", ct)
-	}
-
-	lines := make(chan string, 16)
+	done := make(chan result, 1)
 	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-		close(lines)
+		resp, err := http.DefaultClient.Do(req)
+		done <- result{resp, err}
 	}()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the delta poll never reached the site")
+	}
 
 	if _, err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				t.Fatal("stream closed before a batch arrived")
-			}
-			if line == "event: batch" {
-				return // the delta crossed the relay while the stream is live
-			}
-		case <-deadline:
-			t.Fatal("no SSE batch crossed the relay within 5s")
-		}
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(4 * time.Second):
+		t.Fatal("the parked poll did not wake for the published batch")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	defer res.resp.Body.Close()
+	if res.resp.StatusCode != http.StatusOK {
+		t.Fatalf("poll through relay = %d, want 200", res.resp.StatusCode)
+	}
+	var b stream.Batch
+	if err := json.NewDecoder(res.resp.Body).Decode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Events) == 0 || b.Through <= seq {
+		t.Fatalf("batch through relay = %+v, want the step's events after seq %d", b, seq)
+	}
+	if got, want := res.resp.Header.Get("Last-Event-Seq"), strconv.FormatUint(b.Through, 10); got != want {
+		t.Errorf("Last-Event-Seq through relay = %q, want %q", got, want)
+	}
+	if got := res.resp.Header.Get("Stream-Instance"); got != "boot-poll" {
+		t.Errorf("Stream-Instance through relay = %q, want boot-poll", got)
 	}
 }

@@ -31,7 +31,7 @@ import (
 //	GET  /rest/persistence/data/{item} — readings or ?bucket= aggregates
 //	GET  /rest/mrt/conflicts          — MRT clash/shadow/budget analysis
 //	GET  /rest/stream/snapshot        — decision-stream snapshot (DESIGN.md §16)
-//	GET  /rest/stream                 — decision-stream deltas (long-poll or SSE)
+//	GET  /rest/stream                 — decision-stream deltas (long-poll)
 //	GET  /                            — the embedded panel UI (Fig. 5 stand-in)
 //
 // GET /rest/mrt and /rest/plan serve the decision stream's stored bytes

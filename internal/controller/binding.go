@@ -1,6 +1,6 @@
 // Package controller implements the IMCF Local Controller (LC): the
 // openHAB-like service that registers Things, actuates them through
-// bindings, runs the Energy Planner on a cron schedule, enforces plan
+// bindings, runs the Energy Planner each time it is stepped, enforces plan
 // decisions through the meta-control firewall, persists configuration in
 // the embedded store, and exposes a REST API for apps.
 package controller

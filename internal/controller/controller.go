@@ -171,8 +171,8 @@ type Controller struct {
 	rec      *journal.Recorder
 
 	// stepMu serializes the controller's mutating entry points: planning
-	// cycles, whichever entry point (cron, fleet Cycle, POST
-	// /rest/plan/run) started them, SetMRT's persist-swap-publish and
+	// cycles, whichever entry point (the daemon's schedule loop or an
+	// explicit fleet Cycle, POST /rest/plan/run) started them, SetMRT's persist-swap-publish and
 	// manual device commands. The planner, the ledger, the step scratch
 	// and a cycle's firewall programming belong to one of them at a
 	// time, so no command runs while a cycle reprograms the block set.

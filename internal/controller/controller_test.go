@@ -276,46 +276,6 @@ func TestCarryLedgerBounded(t *testing.T) {
 	}
 }
 
-func TestScheduleRunsViaCron(t *testing.T) {
-	clock := simclock.NewSimClock(winterNight)
-	c := newController(t, func(cfg *Config) { cfg.Clock = clock })
-	cron := NewCron(clock)
-	defer cron.Stop()
-
-	done := make(chan struct{}, 4)
-	stop := cron.Every(time.Hour, func(time.Time) {
-		if _, err := c.Step(); err == nil {
-			done <- struct{}{}
-		}
-	})
-	defer stop()
-
-	for i := 0; i < 3; i++ {
-		// Ensure the job goroutine has re-armed before advancing.
-		waitForWaiter(t, clock)
-		clock.Advance(time.Hour)
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("cron job did not fire")
-		}
-	}
-	if got := c.Summary().Steps; got != 3 {
-		t.Errorf("steps = %d, want 3", got)
-	}
-}
-
-func waitForWaiter(t *testing.T, clock *simclock.SimClock) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for clock.PendingWaiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no pending cron waiter")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestSummaryZeroValue(t *testing.T) {
 	c := newController(t, nil)
 	sum := c.Summary()

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -186,61 +185,6 @@ func TestStreamETags(t *testing.T) {
 	}
 	if resp2.Header.Get("ETag") == oldTag {
 		t.Fatal("ETag did not roll with the MRT")
-	}
-}
-
-func TestStreamSSEDeliversBatches(t *testing.T) {
-	c, srv, hub := streamServer(t)
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/rest/stream?seq="+itoa(hub.Seq()), nil)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
-	if _, err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	var id, data string
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			id = strings.TrimPrefix(line, "id: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "" && data != "":
-			var b stream.Batch
-			if err := json.Unmarshal([]byte(data), &b); err != nil {
-				t.Fatal(err)
-			}
-			if id != itoa(b.Through) {
-				t.Fatalf("SSE id %s != batch through %d", id, b.Through)
-			}
-			if len(b.Events) == 0 {
-				t.Fatal("empty SSE batch")
-			}
-			return
-		}
-	}
-	t.Fatalf("no SSE batch arrived: %v", sc.Err())
-}
-
-func TestStreamSSEUnresumableIs409(t *testing.T) {
-	_, srv, _ := streamServer(t)
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/rest/stream?instance=old-boot&seq=3", nil)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("unresumable SSE connect = %d", resp.StatusCode)
 	}
 }
 

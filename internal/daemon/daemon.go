@@ -2,7 +2,7 @@
 // process hosting one or many homes: per-tenant residence construction,
 // optional durable store and measurement persistence (namespaced per
 // tenant), optional HTTP device emulators, the fleet scheduler fanning
-// cron-driven Energy Planner cycles over a bounded worker pool, the
+// interval-driven Energy Planner cycles over a bounded worker pool, the
 // openHAB-style REST API (tenant-scoped under /t/{home}/, with the
 // un-prefixed routes aliased to the default tenant), and the
 // observability endpoints (/metrics, /healthz and the /debug/spans,
@@ -51,9 +51,8 @@ type Options struct {
 	// Addr is the REST API listen address (":0" for an ephemeral port).
 	Addr string
 	// MetricsAddr serves /metrics, /healthz, /debug/spans,
-	// /debug/exemplars and /debug/logs, plus /debug/decisions and
-	// /debug/trace/{id} unless journaling is disabled; empty disables
-	// the observability listener.
+	// /debug/exemplars, /debug/logs, /debug/decisions and
+	// /debug/trace/{id}; empty disables the observability listener.
 	MetricsAddr string
 	// Residence names the built-in layout: prototype, flat or house.
 	Residence string
@@ -63,7 +62,8 @@ type Options struct {
 	// means one tenant built from the fields above (ID DefaultTenantID,
 	// no store prefix, PersistDir itself as its directory). The first
 	// spec is the default tenant, which also serves the un-prefixed
-	// routes and /healthz; every tenant is served under /t/<ID>/....
+	// routes and whose liveness /healthz reports; every tenant is served
+	// under /t/<ID>/....
 	Tenants []TenantSpec
 	// FleetWorkers bounds how many tenants plan concurrently per fleet
 	// cycle; <= 0 means 1 (sequential, the bit-identical reference
@@ -85,8 +85,9 @@ type Options struct {
 	MRTPath string
 	// Mode is EP (default when empty), IFTTT or manual.
 	Mode string
-	// Interval schedules the planner; <= 0 disables the cron so tests
-	// can drive cycles explicitly over /rest/plan/run or Fleet().Cycle.
+	// Interval schedules a fleet cycle every Interval on Clock; <= 0
+	// disables the schedule so tests can drive cycles explicitly over
+	// /rest/plan/run or Fleet().Cycle.
 	Interval time.Duration
 	// WeeklyBudgetKWh is the weekly energy allowance.
 	WeeklyBudgetKWh float64
@@ -104,17 +105,10 @@ type Options struct {
 	// 0 means DefaultJournalCap. Every tenant journals; a negative
 	// capacity is rejected.
 	JournalCap int
-	// JournalSyncEvery sets the decision journal's fsync cadence: every
-	// N events, 0 for every event, negative for only on shutdown
-	// (imcfd -journal-sync).
-	JournalSyncEvery int
 	// FS overrides the file layer under the store and the decision
 	// journal (tests inject faultfs fakes to exercise crash recovery
 	// and degraded mode); nil uses the real filesystem.
 	FS faultfs.FS
-	// Logf overrides the daemon's operator log; nil routes through the
-	// structured obs logger (ring + optional JSON-line mirror).
-	Logf func(format string, args ...any)
 	// DebugAddr serves the debug mux — net/http/pprof and POST
 	// /debug/flight — on its own listener. Empty disables it: the
 	// profiling surface is opt-in (imcfd -debug-addr). /debug/logs is
@@ -125,10 +119,6 @@ type Options struct {
 	// page transitions, SIGQUIT and manual triggers. Empty disables the
 	// recorder.
 	DiagnosticsDir string
-	// StreamRingCap bounds each tenant's decision-stream delta ring
-	// (served at /t/<id>/rest/stream); 0 means stream.DefaultRingCap.
-	// Every tenant streams; a negative capacity is rejected.
-	StreamRingCap int
 }
 
 // Daemon is a fully wired Local Controller process hosting one or more
@@ -136,10 +126,13 @@ type Options struct {
 type Daemon struct {
 	tenants []*Tenant          // sorted by ID — deterministic iteration
 	byID    map[string]*Tenant // routing lookup
-	def     *Tenant            // serves the un-prefixed routes and /healthz
+	def     *Tenant            // serves the un-prefixed routes; /healthz reports its liveness
 	sched   *fleet.Scheduler
-	logf    func(string, ...any)
 	clock   simclock.Clock
+	store   store.Adapter // the one physical store every tenant writes through; nil without one
+
+	faultMu sync.Mutex
+	fault   error // the probe error that degraded the store; nil while it accepts writes
 
 	slo      *obs.SLO
 	recorder *obs.Recorder // nil without a diagnostics directory
@@ -151,8 +144,8 @@ type Daemon struct {
 	metricSrv *http.Server
 	debugSrv  *http.Server
 
-	cron      *controller.Cron
-	stopSched func()
+	stop chan struct{}  // closed by Close: ends the schedule loop
+	loop sync.WaitGroup // the schedule loop, while it runs
 
 	mu      sync.Mutex
 	closed  bool
@@ -163,21 +156,14 @@ type Daemon struct {
 // yet; call Serve. On error, everything partially constructed is torn
 // down.
 func New(opts Options) (_ *Daemon, err error) {
-	if opts.StreamRingCap < 0 {
-		return nil, fmt.Errorf("daemon: negative stream ring capacity %d", opts.StreamRingCap)
-	}
 	if opts.JournalCap < 0 {
 		return nil, fmt.Errorf("daemon: negative journal capacity %d", opts.JournalCap)
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = obsLogf
 	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = simclock.RealClock{}
 	}
-	d := &Daemon{logf: logf, clock: clock, byID: make(map[string]*Tenant)}
+	d := &Daemon{clock: clock, byID: make(map[string]*Tenant), stop: make(chan struct{})}
 	d.slo = obs.NewSLO(obs.Config{OnTransition: d.onSLOTransition})
 	defer func() {
 		if err != nil {
@@ -212,19 +198,18 @@ func New(opts Options) (_ *Daemon, err error) {
 
 	// The physical store opens once and is shared by every tenant
 	// through a key-prefix namespace.
-	parent, err := openStoreBackend(opts)
-	if err != nil {
+	if d.store, err = openStoreBackend(opts); err != nil {
 		return nil, err
 	}
-	if parent != nil {
-		d.closers = append(d.closers, parent.Close)
+	if d.store != nil {
+		d.closers = append(d.closers, d.store.Close)
 	}
 
 	for _, spec := range specs {
-		view, dir := parent, opts.PersistDir
+		view, dir := d.store, opts.PersistDir
 		if !flat {
-			if parent != nil {
-				view = store.Namespace(parent, tenantStorePrefix(spec.ID))
+			if d.store != nil {
+				view = store.Namespace(d.store, tenantStorePrefix(spec.ID))
 			}
 			if dir != "" {
 				dir = tenantDir(dir, spec.ID)
@@ -250,9 +235,6 @@ func New(opts Options) (_ *Daemon, err error) {
 		if d.recorder, err = d.newRecorder(opts); err != nil {
 			return nil, err
 		}
-		for _, t := range d.tenants {
-			t.flight = d.tenantFlight(t.id)
-		}
 	}
 
 	members := make([]fleet.Member, len(d.tenants))
@@ -267,8 +249,8 @@ func New(opts Options) (_ *Daemon, err error) {
 		Workers: opts.FleetWorkers,
 		OnError: func(id string, err error) {
 			// A planner cycle that died on a full or failing disk must
-			// degrade its tenant, not crash the daemon mid-plan.
-			d.byID[id].noteError(err)
+			// degrade the store, not crash the daemon mid-plan.
+			d.noteError(id, err)
 		},
 		// Every cycle outcome feeds the per-tenant SLO windows; alert
 		// states re-evaluate once per cycle, after the fan-out drains.
@@ -282,13 +264,12 @@ func New(opts Options) (_ *Daemon, err error) {
 	}
 
 	if opts.Interval > 0 {
-		d.cron = controller.NewCron(opts.Clock)
-		d.stopSched = d.cron.Every(opts.Interval, func(time.Time) {
-			if err := d.sched.Cycle(context.Background()); err != nil {
-				logf("EP cycle: %v", err)
-			}
-		})
-		logf("EP scheduled every %v for %d tenant(s), %d fleet worker(s)",
+		d.loop.Add(1)
+		go func() {
+			defer d.loop.Done()
+			d.schedule(opts.Interval)
+		}()
+		obsLogf("EP scheduled every %v for %d tenant(s), %d fleet worker(s)",
 			opts.Interval, len(d.tenants), d.sched.Workers())
 	}
 
@@ -307,7 +288,7 @@ func New(opts Options) (_ *Daemon, err error) {
 		}
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", metrics.Handler())
-		mux.Handle("GET /healthz", d.def.health.HandlerDetail(d.healthDetail))
+		mux.Handle("GET /healthz", d.healthz())
 		mux.Handle("GET /debug/spans", metrics.DefaultTracer().Handler())
 		mux.Handle("GET /debug/exemplars", metrics.ExemplarHandler())
 		mux.Handle("GET /debug/logs", obs.LogsHandler(obs.DefaultHandler().Ring()))
@@ -323,6 +304,23 @@ func New(opts Options) (_ *Daemon, err error) {
 		d.debugSrv = newHTTPServer(d.debugMux())
 	}
 	return d, nil
+}
+
+// schedule runs one fleet cycle every interval on the daemon's clock,
+// the prototype's crontab entry for the Energy Planner, until Close
+// closes d.stop. A cycle in flight finishes first. With a SimClock,
+// advancing time drives it.
+func (d *Daemon) schedule(interval time.Duration) {
+	for {
+		select {
+		case <-d.clock.After(interval):
+			if err := d.sched.Cycle(context.Background()); err != nil {
+				obsLogf("EP cycle: %v", err)
+			}
+		case <-d.stop:
+			return
+		}
+	}
 }
 
 // tenantAPI routes /t/{home}/... to the named tenant's REST API. The
@@ -507,7 +505,7 @@ func (d *Daemon) Serve() error {
 }
 
 // Start runs Serve on a goroutine and returns immediately; serve errors
-// go to the daemon's logger. Tests use Start + Close.
+// go to the operator log. Tests use Start + Close.
 func (d *Daemon) Start() {
 	// The goroutine's lifetime is bounded by the daemon, not a local
 	// join: Serve parks in the listener loops and returns when Close
@@ -515,14 +513,14 @@ func (d *Daemon) Start() {
 	//imcf:allow goleak Serve returns when Close closes the listeners; Close is the join
 	go func() {
 		if err := d.Serve(); err != nil {
-			d.logf("daemon: serve: %v", err)
+			obsLogf("daemon: serve: %v", err)
 		}
 	}()
 }
 
-// Close shuts the daemon down: scheduler, HTTP servers, then the
-// shutdown hooks (emulators, persistence, stores) in reverse order. It
-// is idempotent.
+// Close shuts the daemon down: the schedule loop (after any cycle in
+// flight), HTTP servers, then the shutdown hooks (emulators,
+// persistence, stores) in reverse order. It is idempotent.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -532,12 +530,8 @@ func (d *Daemon) Close() error {
 	d.closed = true
 	d.mu.Unlock()
 
-	if d.stopSched != nil {
-		d.stopSched()
-	}
-	if d.cron != nil {
-		d.cron.Stop()
-	}
+	close(d.stop)
+	d.loop.Wait()
 	// Drain in-flight requests before tearing down the closers they may
 	// depend on (store, persistence); force-close whatever is still
 	// running when the grace period expires.
@@ -572,13 +566,13 @@ func (d *Daemon) Close() error {
 			firstErr = err
 		}
 	}
-	// The degraded gauges are process-global: zero them for every tenant
-	// closed while degraded, or they keep reporting a home that no
+	// The degraded gauge is process-global: zero it if this daemon
+	// closed while degraded, or it keeps reporting a store that no
 	// longer exists.
-	for _, t := range d.tenants {
-		if t.Degraded() {
-			tenantDegradedGauge.With(t.id).Set(0)
-		}
+	d.faultMu.Lock()
+	if d.fault != nil {
+		storeDegradedGauge.Set(0)
 	}
+	d.faultMu.Unlock()
 	return firstErr
 }

@@ -48,7 +48,6 @@ func TestDaemonE2E(t *testing.T) {
 		WeeklyBudgetKWh: 165,
 		Clock:           clock,
 		Binding:         binding,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +133,6 @@ func TestDaemonServesSpans(t *testing.T) {
 		MetricsAddr:     "127.0.0.1:0",
 		Residence:       "flat",
 		WeeklyBudgetKWh: 165,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,9 +157,6 @@ func TestDaemonRejectsBadOptions(t *testing.T) {
 			t.Errorf("unknown store backend %q accepted", backend)
 		}
 	}
-	if _, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165, StreamRingCap: -1}); err == nil {
-		t.Error("negative stream ring capacity accepted")
-	}
 	if _, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165, JournalCap: -1}); err == nil {
 		t.Error("negative journal capacity accepted")
 	}
@@ -185,7 +180,6 @@ func TestDaemonStoreBackends(t *testing.T) {
 				Addr:            "127.0.0.1:0",
 				Residence:       "flat",
 				WeeklyBudgetKWh: 165,
-				Logf:            t.Logf,
 			}
 			tc.opts(&opts)
 			d, err := New(opts)
@@ -288,7 +282,6 @@ func TestDaemonDebugRoutesOneListener(t *testing.T) {
 		DebugAddr:       "127.0.0.1:0",
 		Residence:       "prototype",
 		WeeklyBudgetKWh: 165,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,4 +297,120 @@ func TestDaemonDebugRoutesOneListener(t *testing.T) {
 	if code := getStatus(t, metricsURL+"/debug/pprof/"); code != http.StatusNotFound {
 		t.Errorf("metrics listener GET /debug/pprof/ = %d, want 404", code)
 	}
+}
+
+// gateBinding actuates nothing; once armed, the first actuation blocks
+// until the gate opens, holding a planning cycle in flight.
+type gateBinding struct {
+	armed   atomic.Bool
+	entered chan struct{} // receives once when a cycle blocks
+	open    chan struct{} // closed to let the blocked cycle finish
+}
+
+func (b *gateBinding) hold() {
+	if b.armed.CompareAndSwap(true, false) {
+		b.entered <- struct{}{}
+		<-b.open
+	}
+}
+
+func (b *gateBinding) Apply(device.Descriptor, float64) error { b.hold(); return nil }
+
+func (b *gateBinding) TurnOff(device.Descriptor) error { b.hold(); return nil }
+
+// TestDaemonIntervalCyclesEveryTenant drives Options.Interval with a
+// SimClock: each Advance by the interval runs one fleet cycle, which
+// steps every tenant once. Close returns while the schedule loop is
+// parked, and waits for a cycle in flight to finish.
+func TestDaemonIntervalCyclesEveryTenant(t *testing.T) {
+	boot := func(t *testing.T, b *gateBinding) (*Daemon, *simclock.SimClock) {
+		t.Helper()
+		clock := simclock.NewSimClock(time.Date(2015, time.January, 10, 20, 0, 0, 0, time.UTC))
+		d, err := New(Options{
+			Addr: "127.0.0.1:0",
+			Tenants: []TenantSpec{
+				{ID: "cron-h1", Residence: "prototype", Seed: 1},
+				{ID: "cron-h2", Residence: "prototype", Seed: 2},
+			},
+			WeeklyBudgetKWh: 165,
+			Clock:           clock,
+			Interval:        time.Hour,
+			Binding:         b,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() }) //nolint:errcheck // test cleanup
+		return d, clock
+	}
+	// waitParked returns once the loop waits on the clock again, which
+	// it does only after the cycle it ran has returned.
+	waitParked := func(t *testing.T, clock *simclock.SimClock) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); clock.PendingWaiters() != 1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("schedule loop not waiting on the clock (%d waiters)", clock.PendingWaiters())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	steps := func(d *Daemon) [2]int {
+		return [2]int{
+			len(d.Tenant("cron-h1").Controller().History()),
+			len(d.Tenant("cron-h2").Controller().History()),
+		}
+	}
+	closed := func(d *Daemon) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			d.Close() //nolint:errcheck // the error is not under test
+			close(done)
+		}()
+		return done
+	}
+
+	t.Run("parked", func(t *testing.T) {
+		d, clock := boot(t, &gateBinding{})
+		waitParked(t, clock)
+		for i := 1; i <= 3; i++ {
+			clock.Advance(time.Hour)
+			waitParked(t, clock)
+			if got := steps(d); got != [2]int{i, i} {
+				t.Fatalf("after %d intervals, tenants stepped %v times, want %d each", i, got, i)
+			}
+		}
+		select {
+		case <-closed(d):
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close did not return while the schedule loop was parked")
+		}
+	})
+
+	t.Run("in-flight", func(t *testing.T) {
+		b := &gateBinding{entered: make(chan struct{}, 1), open: make(chan struct{})}
+		d, clock := boot(t, b)
+		waitParked(t, clock)
+		b.armed.Store(true)
+		clock.Advance(time.Hour)
+		select {
+		case <-b.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the scheduled cycle never actuated")
+		}
+		done := closed(d)
+		select {
+		case <-done:
+			t.Fatal("Close returned while a cycle was in flight")
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(b.open)
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close did not return after the cycle finished")
+		}
+		if got := steps(d); got != [2]int{1, 1} {
+			t.Fatalf("the cycle Close waited for stepped the tenants %v times, want once each", got)
+		}
+	})
 }

@@ -1,17 +1,17 @@
-// Degraded mode: when a tenant's durable store reports a persistent
-// media fault (ENOSPC, EIO), that tenant keeps serving reads but
-// refuses mutations with 503 instead of crashing mid-plan or silently
-// accepting writes it cannot persist. Classification is probe-based:
-// store.Probe appends and fsyncs a no-op WAL record, exercising the
-// real write path. A probe also runs before each mutation while
-// degraded, so a tenant heals itself the moment the disk recovers.
+// Degraded mode: when the durable store reports a persistent media
+// fault (ENOSPC, EIO), the daemon keeps serving reads but refuses
+// mutations with 503 instead of crashing mid-plan or silently accepting
+// writes it cannot persist. Classification is probe-based: store.Probe
+// appends and fsyncs a no-op WAL record, exercising the real write
+// path. A probe also runs before each mutation while degraded, so the
+// daemon heals itself the moment the disk recovers.
 //
-// Degraded mode is tenant-scoped: a tenant degrades when its own
-// mutation fails and its probe confirms the fault, and heals on its own
-// next mutation. Every tenant routes through one shared log, so a
-// failing disk reaches each tenant as soon as it next writes. Every
-// tenant, the default one included, reports through the
-// imcf_tenant_degraded* families.
+// Every tenant writes through one physical store, so the degraded state
+// is held once, on the Daemon: a fault confirmed by any tenant degrades
+// every tenant, and one successful recovery probe, from any tenant,
+// heals them all. It reports through the unlabelled imcf_store_degraded*
+// families; each refused mutation counts against the tenant it was
+// meant for.
 package daemon
 
 import (
@@ -26,12 +26,12 @@ import (
 )
 
 var (
-	tenantDegradedGauge = metrics.NewGaugeVec("imcf_tenant_degraded",
-		"1 while the tenant is in read-only degraded mode, else 0.", "tenant")
-	tenantDegradedEntries = metrics.NewCounterVec("imcf_tenant_degraded_entries_total",
-		"Times the tenant entered read-only degraded mode.", "tenant")
+	storeDegradedGauge = metrics.NewGauge("imcf_store_degraded",
+		"1 while the shared store is in read-only degraded mode, else 0.")
+	storeDegradedEntries = metrics.NewCounter("imcf_store_degraded_entries_total",
+		"Times the shared store entered read-only degraded mode.")
 	tenantDegradedRejects = metrics.NewCounterVec("imcf_tenant_degraded_rejected_total",
-		"Mutating requests rejected with 503 while the tenant was degraded.", "tenant")
+		"Mutating requests rejected with 503 while the store was degraded.", "tenant")
 	tenantHealthy = metrics.NewGaugeVec("imcf_tenant_healthy",
 		"1 while the tenant's last planning cycle succeeded, else 0.", "tenant")
 )
@@ -40,71 +40,69 @@ var (
 // with capped backoff (internal/client) honor it.
 const degradedRetryAfter = "5"
 
-// Degraded reports whether the tenant is in read-only degraded mode.
-func (t *Tenant) Degraded() bool {
-	degraded, _ := t.health.Degraded()
-	return degraded
+// storeFault returns the probe error that degraded the store, or nil
+// while the store accepts writes.
+func (d *Daemon) storeFault() error {
+	d.faultMu.Lock()
+	defer d.faultMu.Unlock()
+	return d.fault
 }
 
-// enterDegraded flips the tenant into read-only degraded mode. trace,
-// when known (the middleware path has the triggering request's
-// traceparent; the fleet path does not), correlates the structured log
-// record and the flight bundle with the request that exposed the
-// fault.
-func (t *Tenant) enterDegraded(err error, trace string) {
-	if degraded, _ := t.health.Degraded(); degraded {
+// degrade puts the store into read-only degraded mode after a probe
+// confirmed err. tenant and trace name the request or cycle that found
+// the fault (trace is empty on the fleet path); they correlate the
+// structured log record and the flight bundle with it.
+func (d *Daemon) degrade(err error, tenant, trace string) {
+	d.faultMu.Lock()
+	entered := d.fault == nil
+	if entered {
+		d.fault = err
+		storeDegradedGauge.Set(1)
+		storeDegradedEntries.Inc()
+	}
+	d.faultMu.Unlock()
+	if !entered {
 		return
 	}
-	t.health.SetDegraded(err.Error())
-	tenantDegradedGauge.With(t.id).Set(1)
-	tenantDegradedEntries.With(t.id).Inc()
 	obs.L().LogAttrs(context.Background(), slog.LevelError,
-		"tenant entering read-only degraded mode",
-		slog.String("tenant", t.id),
+		"store entering read-only degraded mode",
+		slog.String("tenant", tenant),
 		slog.String("trace", trace),
 		obs.Error(err))
-	if t.flight != nil {
-		t.flight("degraded", trace)
-	}
+	d.flight("degraded", tenant, trace)
 }
 
-// exitDegraded restores full service after a successful probe.
-func (t *Tenant) exitDegraded() {
-	if degraded, _ := t.health.Degraded(); !degraded {
-		return
+// probeRecovery re-checks the write path while degraded. A passing
+// probe restores full service for every tenant and returns nil; a
+// failing one returns its error.
+func (d *Daemon) probeRecovery() error {
+	if err := d.store.Probe(); err != nil {
+		return err
 	}
-	t.health.ClearDegraded()
-	tenantDegradedGauge.With(t.id).Set(0)
-	t.logf("daemon: tenant %s disk recovered, leaving degraded mode", t.id)
+	d.faultMu.Lock()
+	healed := d.fault != nil
+	if healed {
+		d.fault = nil
+		storeDegradedGauge.Set(0)
+	}
+	d.faultMu.Unlock()
+	if healed {
+		obsLogf("daemon: disk recovered, leaving degraded mode")
+	}
+	return nil
 }
 
-// noteError classifies an error from the tenant's serving or planning
-// path: persistent media faults trip degraded mode, anything else is
-// left to the regular health reporting. The classification is confirmed
-// by a probe so a wrapped one-off error cannot degrade a healthy disk.
-func (t *Tenant) noteError(err error) {
-	if err == nil || t.store == nil || t.Degraded() {
+// noteError classifies a failed planning cycle: a persistent media
+// fault, confirmed by a failing probe, degrades the store; anything
+// else is left to the tenant's health reporting. The probe keeps a
+// wrapped one-off error from degrading a healthy disk.
+func (d *Daemon) noteError(tenant string, err error) {
+	if d.store == nil || !faultfs.IsDiskFault(err) || d.storeFault() != nil {
 		return
 	}
-	if !faultfs.IsDiskFault(err) {
-		return
+	if perr := d.store.Probe(); perr != nil {
+		d.degrade(perr, tenant, "")
 	}
-	if perr := t.store.Probe(); perr != nil {
-		t.enterDegraded(perr, "")
-	}
-}
-
-// probeRecovery re-checks the write path while degraded; it reports
-// whether the tenant is (now) fully serviceable.
-func (t *Tenant) probeRecovery() bool {
-	if t.store == nil {
-		return true
-	}
-	if err := t.store.Probe(); err != nil {
-		return false
-	}
-	t.exitDegraded()
-	return true
 }
 
 // statusRecorder captures the response status for post-serve fault
@@ -128,51 +126,37 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 	return sr.ResponseWriter.Write(p)
 }
 
-// Unwrap exposes the wrapped writer to http.NewResponseController, so
-// handlers behind degradeMiddleware keep the underlying writer's
-// optional capabilities (http.Flusher, http.Hijacker, io.ReaderFrom).
-func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
-
-// Flush implements http.Flusher for handlers that type-assert the
-// writer directly instead of going through a ResponseController.
-func (sr *statusRecorder) Flush() {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // degradeMiddleware enforces read-only degraded mode around one
-// tenant's REST API: while degraded, mutations are refused with 503 +
-// Retry-After (after a recovery probe, so service resumes as soon as
-// the disk does); reads always pass. After any server error on a
-// mutation, the write path is probed and a confirmed disk fault flips
-// the tenant into degraded mode.
-func (t *Tenant) degradeMiddleware(next http.Handler) http.Handler {
-	if t.store == nil {
+// tenant's REST API: while the store is degraded, mutations are refused
+// with 503 + Retry-After (after a recovery probe, so service resumes as
+// soon as the disk does); reads always pass. After any server error on
+// a mutation, the write path is probed and a confirmed disk fault
+// degrades the store.
+func (d *Daemon) degradeMiddleware(tenant string, next http.Handler) http.Handler {
+	if d.store == nil {
 		return next // no durable layer, nothing to degrade
 	}
+	rejects := tenantDegradedRejects.With(tenant)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mutation := r.Method != http.MethodGet && r.Method != http.MethodHead
-		if mutation && t.Degraded() && !t.probeRecovery() {
-			tenantDegradedRejects.With(t.id).Inc()
-			_, reason := t.health.Degraded()
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Retry-After", degradedRetryAfter)
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintf(w, "{\"error\":%q}\n", "read-only degraded mode: "+reason) //nolint:errcheck // response committed
-			return
+		if mutation && d.storeFault() != nil {
+			if err := d.probeRecovery(); err != nil {
+				rejects.Inc()
+				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set("Retry-After", degradedRetryAfter)
+				w.WriteHeader(http.StatusServiceUnavailable)
+				fmt.Fprintf(w, "{\"error\":%q}\n", "read-only degraded mode: "+err.Error()) //nolint:errcheck // response committed
+				return
+			}
 		}
 		sr := &statusRecorder{ResponseWriter: w}
 		next.ServeHTTP(sr, r)
-		if mutation && sr.status >= http.StatusInternalServerError && !t.Degraded() {
+		if mutation && sr.status >= http.StatusInternalServerError && d.storeFault() == nil {
 			// The handler failed server-side; probe the write path. A
 			// failing probe means no mutation can be persisted, whatever
 			// the root cause — degrade rather than keep returning 500s.
-			if err := t.store.Probe(); err != nil {
-				t.enterDegraded(err, requestTrace(r))
+			if err := d.store.Probe(); err != nil {
+				d.degrade(err, tenant, requestTrace(r))
 			}
 		}
 	})

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -41,7 +41,6 @@ func TestDaemonDegradedMode(t *testing.T) {
 		WeeklyBudgetKWh: 165,
 		StoreDir:        "/degraded/store",
 		FS:              faultfs.NewFaulty(mem, inj),
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestDaemonDegradedMode(t *testing.T) {
 	// table was accepted but could not be persisted) and the follow-up
 	// probe flips the daemon into degraded mode. The counters are
 	// process-global, so they are read as deltas from here.
-	entries0 := float64(tenantDegradedEntries.With(DefaultTenantID).Value())
+	entries0 := float64(storeDegradedEntries.Value())
 	rejects0 := float64(tenantDegradedRejects.With(DefaultTenantID).Value())
 	diskFull.Store(true)
 	if resp := postMRT(); resp.StatusCode != http.StatusInternalServerError {
@@ -83,7 +82,7 @@ func TestDaemonDegradedMode(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if !d.def.Degraded() {
+	if d.storeFault() == nil {
 		t.Fatal("daemon not degraded after a persist failure and failing probe")
 	}
 
@@ -131,10 +130,10 @@ func TestDaemonDegradedMode(t *testing.T) {
 
 	// The degradation is visible on /metrics.
 	fams := scrapeMetrics(t, obs+"/metrics")
-	if got := fams[`imcf_tenant_degraded{tenant="home"}`]; got != 1 {
-		t.Fatalf("imcf_tenant_degraded{home} = %v, want 1", got)
+	if got := fams["imcf_store_degraded"]; got != 1 {
+		t.Fatalf("imcf_store_degraded = %v, want 1", got)
 	}
-	if got := fams[`imcf_tenant_degraded_entries_total{tenant="home"}`] - entries0; got != 1 {
+	if got := fams["imcf_store_degraded_entries_total"] - entries0; got != 1 {
 		t.Fatalf("degraded entries rose by %v, want 1", got)
 	}
 	if got := fams[`imcf_tenant_degraded_rejected_total{tenant="home"}`] - rejects0; got < 1 {
@@ -149,35 +148,14 @@ func TestDaemonDegradedMode(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if d.def.Degraded() {
+	if d.storeFault() != nil {
 		t.Fatal("daemon still degraded after the disk recovered")
 	}
 	if code := getStatus(t, obs+"/healthz"); code != http.StatusOK {
 		t.Fatalf("post-recovery /healthz = %d, want 200", code)
 	}
-	if got := scrapeMetrics(t, obs+"/metrics")[`imcf_tenant_degraded{tenant="home"}`]; got != 0 {
-		t.Fatalf("imcf_tenant_degraded{home} = %v after recovery, want 0", got)
-	}
-}
-
-// TestStatusRecorderForwardsCapabilities: the middleware's recorder
-// must not mask the underlying writer's optional interfaces — both a
-// direct http.Flusher assertion and the http.NewResponseController
-// path (which relies on Unwrap) have to reach the real writer.
-func TestStatusRecorderForwardsCapabilities(t *testing.T) {
-	rec := httptest.NewRecorder()
-	sr := &statusRecorder{ResponseWriter: rec}
-	if _, ok := interface{}(sr).(http.Flusher); !ok {
-		t.Fatal("statusRecorder does not implement http.Flusher")
-	}
-	if err := http.NewResponseController(sr).Flush(); err != nil {
-		t.Fatalf("Flush through ResponseController: %v", err)
-	}
-	if !rec.Flushed {
-		t.Fatal("flush did not reach the underlying writer")
-	}
-	if sr.Unwrap() != http.ResponseWriter(rec) {
-		t.Fatal("Unwrap does not return the wrapped writer")
+	if got := scrapeMetrics(t, obs+"/metrics")["imcf_store_degraded"]; got != 0 {
+		t.Fatalf("imcf_store_degraded = %v after recovery, want 0", got)
 	}
 }
 
@@ -203,11 +181,11 @@ func drainStatus(resp *http.Response) int {
 	return resp.StatusCode
 }
 
-// TestDaemonCloseClearsDegradedGauges closes a daemon whose tenants are
-// both degraded. The degraded gauges are process-global, so a closed
-// daemon must zero the ones it set: otherwise they keep reporting a
-// daemon that no longer exists, and leak into the next daemon built in
-// the same process.
+// TestDaemonCloseClearsDegradedGauges closes a daemon whose store is
+// degraded, with writes from both tenants refused. The degraded gauge
+// is process-global, so a closed daemon must zero it: otherwise it
+// keeps reporting a daemon that no longer exists, and leaks into the
+// next daemon built in the same process.
 func TestDaemonCloseClearsDegradedGauges(t *testing.T) {
 	var diskFull atomic.Bool
 	inj := faultfs.InjectorFunc(func(op faultfs.FaultOp) *faultfs.Fault {
@@ -225,7 +203,6 @@ func TestDaemonCloseClearsDegradedGauges(t *testing.T) {
 		WeeklyBudgetKWh: 165,
 		StoreDir:        "/gauges/store",
 		FS:              faultfs.NewFaulty(faultfs.NewMemFS(), inj),
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,18 +219,102 @@ func TestDaemonCloseClearsDegradedGauges(t *testing.T) {
 			t.Fatal(err)
 		}
 		drainStatus(resp)
-		if !d.Tenant(id).Degraded() {
-			t.Fatalf("tenant %s not degraded after a failed persist", id)
+		if d.storeFault() == nil {
+			t.Fatalf("store not degraded after tenant %s's failed persist", id)
 		}
 	}
-	if tenantDegradedGauge.With("gauge-h1").Value() != 1 || tenantDegradedGauge.With("gauge-h2").Value() != 1 {
-		t.Fatal("degraded gauges not set before Close")
+	if storeDegradedGauge.Value() != 1 {
+		t.Fatal("degraded gauge not set before Close")
 	}
 
 	d.Close() //nolint:errcheck // the store cannot flush to the full disk
-	for _, id := range []string{"gauge-h1", "gauge-h2"} {
-		if got := tenantDegradedGauge.With(id).Value(); got != 0 {
-			t.Errorf("imcf_tenant_degraded{tenant=%q} = %v after Close, want 0", id, got)
+	if got := storeDegradedGauge.Value(); got != 0 {
+		t.Errorf("imcf_store_degraded = %v after Close, want 0", got)
+	}
+}
+
+// TestDaemonDegradedConcurrentTenants races mutations from both tenants
+// through a disk fault and through the recovery. The store's degraded
+// state is shared, so however many failed writes and probes race to
+// degrade it, it enters degraded mode once; and every mutation after
+// the disk recovers is served.
+func TestDaemonDegradedConcurrentTenants(t *testing.T) {
+	var diskFull atomic.Bool
+	inj := faultfs.InjectorFunc(func(op faultfs.FaultOp) *faultfs.Fault {
+		if diskFull.Load() && (op.Op == faultfs.OpWrite || op.Op == faultfs.OpSync) {
+			return &faultfs.Fault{Err: syscall.ENOSPC}
 		}
+		return nil
+	})
+	ids := []string{"race-h1", "race-h2"}
+	d, err := New(Options{
+		Addr: "127.0.0.1:0",
+		Tenants: []TenantSpec{
+			{ID: ids[0], Residence: "flat", Seed: 1},
+			{ID: ids[1], Residence: "flat", Seed: 2},
+		},
+		WeeklyBudgetKWh: 165,
+		StoreDir:        "/race/store",
+		FS:              faultfs.NewFaulty(faultfs.NewMemFS(), inj),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //nolint:errcheck // test cleanup
+	d.Start()
+	api := "http://" + d.APIAddr()
+	mrtJSON := getBodyOK(t, api+"/t/race-h1/rest/mrt")
+
+	// burst posts perTenant mutations to every tenant at once and
+	// returns the status codes.
+	const perTenant = 8
+	burst := func() []int {
+		var wg sync.WaitGroup
+		codes := make(chan int, perTenant*len(ids))
+		for _, id := range ids {
+			for range perTenant {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := http.Post(api+"/t/"+id+"/rest/mrt", "application/json", strings.NewReader(mrtJSON))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					codes <- drainStatus(resp)
+				}()
+			}
+		}
+		wg.Wait()
+		close(codes)
+		var out []int
+		for code := range codes {
+			out = append(out, code)
+		}
+		return out
+	}
+
+	entries0 := storeDegradedEntries.Value()
+	diskFull.Store(true)
+	for _, code := range burst() {
+		if code != http.StatusInternalServerError && code != http.StatusServiceUnavailable {
+			t.Errorf("disk-full POST = %d, want 500 or 503", code)
+		}
+	}
+	if d.storeFault() == nil {
+		t.Fatal("store not degraded after a burst of failed writes")
+	}
+	if got := storeDegradedEntries.Value() - entries0; got != 1 {
+		t.Fatalf("store entered degraded mode %d times, want once", got)
+	}
+
+	diskFull.Store(false)
+	for _, code := range burst() {
+		if code != http.StatusOK {
+			t.Errorf("post-recovery POST = %d, want 200", code)
+		}
+	}
+	if d.storeFault() != nil || storeDegradedGauge.Value() != 0 {
+		t.Fatal("store still degraded after the disk recovered")
 	}
 }

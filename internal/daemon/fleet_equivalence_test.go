@@ -135,7 +135,6 @@ func TestFleetTenantEquivalence(t *testing.T) {
 				PersistDir:      soloPersist,
 				WeeklyBudgetKWh: 165,
 				Clock:           soloClk,
-				Logf:            t.Logf,
 			})
 			if err != nil {
 				t.Fatalf("single-home daemon: %v", err)
@@ -170,7 +169,6 @@ func TestFleetTenantEquivalence(t *testing.T) {
 				StoreBackend: "wal",
 				PersistDir:   fleetPersist,
 				Clock:        fleetClk,
-				Logf:         t.Logf,
 			})
 			if err != nil {
 				t.Fatalf("fleet daemon: %v", err)

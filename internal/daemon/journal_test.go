@@ -38,7 +38,6 @@ func TestDaemonJournalEndpointsAndRestart(t *testing.T) {
 			PersistDir:      persistDir,
 			Clock:           clock,
 			Binding:         &flakyBinding{},
-			Logf:            t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +142,6 @@ func TestDaemonJournalDisabled(t *testing.T) {
 		MetricsAddr:     "127.0.0.1:0",
 		Residence:       "flat",
 		WeeklyBudgetKWh: 165,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +161,7 @@ func TestDaemonJournalDisabled(t *testing.T) {
 // zero and sub-second slots) and checks GET /debug/decisions serves,
 // byte for byte, the JSON of those events with the tenant stamped.
 func TestDaemonDecisionsBytesMatchEvents(t *testing.T) {
-	d, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165, Logf: t.Logf})
+	d, err := New(Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +207,6 @@ func TestDaemonLimitKeepsNewestAcrossTenants(t *testing.T) {
 		},
 		WeeklyBudgetKWh: 165,
 		Clock:           clock,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

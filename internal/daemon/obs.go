@@ -1,8 +1,8 @@
 // Observability wiring: the daemon-side glue between the serving path
-// and internal/obs — the structured access log, the per-tenant SLO
-// feed, the /healthz SLO detail, the opt-in debug listener (pprof and
-// manual flight triggers) and the flight-recorder taps
-// that correlate log records, spans and journal events by the
+// and internal/obs — the operator log, the structured access log, the
+// per-tenant SLO feed, /healthz with its SLO detail, the opt-in debug
+// listener (pprof and manual flight triggers) and the flight-recorder
+// taps that correlate log records, spans and journal events by the
 // triggering tenant and trace.
 package daemon
 
@@ -22,10 +22,10 @@ import (
 	"github.com/imcf/imcf/internal/obs"
 )
 
-// obsLogf is the default operator log: printf-shaped messages routed
-// into the structured obs layer at Info, so daemon narration lands in
-// the ring (and any JSON-line mirror) alongside the serving-path
-// records.
+// obsLogf is the operator log: printf-shaped messages routed into the
+// structured obs layer at Info, so daemon narration lands in the
+// /debug/logs ring (and any JSON-line mirror) alongside the
+// serving-path records.
 func obsLogf(format string, args ...any) {
 	l := obs.L()
 	if !l.Enabled(context.Background(), slog.LevelInfo) {
@@ -46,10 +46,8 @@ func (d *Daemon) onSLOTransition(tenant string, from, to obs.State) {
 		slog.String("tenant", tenant),
 		slog.String("from", from.String()),
 		slog.String("to", to.String()))
-	if to == obs.StatePage && d.recorder != nil {
-		if _, err := d.recorder.Trigger("slo-page", tenant, ""); err != nil && !errors.Is(err, obs.ErrSuppressed) {
-			d.logf("daemon: flight recorder: %v", err)
-		}
+	if to == obs.StatePage {
+		d.flight("slo-page", tenant, "")
 	}
 }
 
@@ -93,15 +91,16 @@ func (d *Daemon) newRecorder(opts Options) (*obs.Recorder, error) {
 	})
 }
 
-// tenantFlight returns the tenant's degraded-entry hook into the flight
-// recorder. Suppressed triggers (the rate limit) are silent; real
-// failures are logged, never propagated — diagnostics must not break
-// serving.
-func (d *Daemon) tenantFlight(tenant string) func(reason, trace string) {
-	return func(reason, trace string) {
-		if _, err := d.recorder.Trigger(reason, tenant, trace); err != nil && !errors.Is(err, obs.ErrSuppressed) {
-			d.logf("daemon: flight recorder: %v", err)
-		}
+// flight dumps a diagnostic bundle for an automatic trigger (degraded
+// entry, SLO page) when the recorder is on. Suppressed triggers (the
+// rate limit) are silent; real failures are logged, never propagated —
+// diagnostics must not break serving.
+func (d *Daemon) flight(reason, tenant, trace string) {
+	if d.recorder == nil {
+		return
+	}
+	if _, err := d.recorder.Trigger(reason, tenant, trace); err != nil && !errors.Is(err, obs.ErrSuppressed) {
+		obsLogf("daemon: flight recorder: %v", err)
 	}
 }
 
@@ -118,6 +117,26 @@ func (d *Daemon) TriggerFlight(reason, tenant, trace string) (string, error) {
 // alert states and rolling-window statistics.
 func (d *Daemon) healthDetail() map[string]any {
 	return map[string]any{"slo": d.slo.Snapshot(d.clock.Now())}
+}
+
+// healthz serves GET /healthz: 503 {"status":"degraded"} with the probe
+// error while the store is degraded, otherwise the default tenant's
+// liveness; both carry the SLO detail.
+func (d *Daemon) healthz() http.Handler {
+	live := d.def.health.HandlerDetail(d.healthDetail)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fault := d.storeFault()
+		if fault == nil {
+			live.ServeHTTP(w, r)
+			return
+		}
+		body := d.healthDetail()
+		body["status"] = "degraded"
+		body["reason"] = fault.Error()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		json.NewEncoder(w).Encode(body) //nolint:errcheck // response committed
+	})
 }
 
 // debugMux assembles the opt-in debug listener: the pprof surface and

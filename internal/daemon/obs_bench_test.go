@@ -27,7 +27,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			WeeklyBudgetKWh: 165,
 			StoreDir:        "/bench/store",
 			FS:              faultfs.NewMemFS(),
-			Logf:            func(string, ...any) {},
 		})
 		if err != nil {
 			b.Fatal(err)

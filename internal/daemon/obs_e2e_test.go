@@ -65,7 +65,6 @@ func TestDaemonDegradedFlightBundleCorrelation(t *testing.T) {
 		StoreDir:       "/flight/store",
 		DiagnosticsDir: "/flight/diag",
 		FS:             faultfs.NewFaulty(mem, inj),
-		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +106,7 @@ func TestDaemonDegradedFlightBundleCorrelation(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if !d.def.Degraded() {
+	if d.storeFault() == nil {
 		t.Fatal("daemon not degraded after the persist failure")
 	}
 
@@ -226,7 +225,7 @@ func TestDaemonDegradedFlightBundleCorrelation(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if d.def.Degraded() {
+	if d.storeFault() != nil {
 		t.Fatal("daemon still degraded after the disk recovered")
 	}
 }
@@ -265,7 +264,6 @@ func TestObsEquivalence(t *testing.T) {
 			PersistDir:     filepath.Join(dir, "persist"),
 			DiagnosticsDir: filepath.Join(dir, "diag"),
 			Clock:          clk,
-			Logf:           t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -318,7 +316,6 @@ func TestDaemonSLOPageTriggersBundle(t *testing.T) {
 		DiagnosticsDir:  "/slo/diag",
 		FS:              mem,
 		Clock:           clk,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -108,7 +108,6 @@ func newStreamEquivDaemon(t *testing.T, dir string, workers int, clk *simclock.S
 		StoreBackend: "wal",
 		PersistDir:   filepath.Join(dir, "persist"),
 		Clock:        clk,
-		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("fleet daemon: %v", err)

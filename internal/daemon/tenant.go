@@ -112,9 +112,7 @@ type Tenant struct {
 	store   store.Adapter // tenant-scoped view; nil without a store
 	api     http.Handler  // access-log- and degrade-wrapped REST API
 	strip   http.Handler  // api behind the /t/<id> prefix strip
-	logf    func(string, ...any)
 	clock   simclock.Clock
-	flight  func(reason, trace string) // degraded-entry flight-recorder hook; nil without a recorder
 }
 
 // ID returns the home identifier.
@@ -171,7 +169,6 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 		id:     spec.ID,
 		health: metrics.NewHealth(tenantHealthy.With(spec.ID)),
 		store:  view,
-		logf:   d.logf,
 		clock:  d.clock,
 	}
 
@@ -196,7 +193,7 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 		if err := res.Validate(); err != nil {
 			return nil, fmt.Errorf("daemon: MRT from %s: %w", opts.MRTPath, err)
 		}
-		t.logf("tenant %s: loaded %d meta-rules from %s", t.id, len(mrt.Rules), opts.MRTPath)
+		obsLogf("tenant %s: loaded %d meta-rules from %s", t.id, len(mrt.Rules), opts.MRTPath)
 	}
 
 	t.journal = journal.New(opts.JournalCap) // 0 means DefaultJournalCap
@@ -225,7 +222,7 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 	// The instance token marks one hub lifetime: it must differ across
 	// daemon restarts (sequence numbers are not comparable); the tenant
 	// ID prefix only makes it readable.
-	hub := stream.NewHub(t.id+"-"+controller.MintStreamInstance(), opts.StreamRingCap)
+	hub := stream.NewHub(t.id+"-"+controller.MintStreamInstance(), stream.DefaultRingCap)
 	cfg.Stream = hub
 	d.closers = append(d.closers, func() error { hub.Close(); return nil })
 
@@ -236,10 +233,9 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 		}
 		d.closers = append(d.closers, svc.Close)
 		cfg.Persistence = svc
-		t.logf("tenant %s: recording measurements to %s", t.id, dir)
+		obsLogf("tenant %s: recording measurements to %s", t.id, dir)
 
-		jl, err := persistence.OpenJournalOpts(dir,
-			persistence.JournalOptions{SyncEvery: opts.JournalSyncEvery, FS: opts.FS})
+		jl, err := persistence.OpenJournal(dir, opts.FS)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +248,7 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 			return nil, fmt.Errorf("daemon: replay decision journal: %w", err)
 		}
 		if n > 0 {
-			t.logf("tenant %s: replayed %d journaled decisions from %s", t.id, n, jl.Path())
+			obsLogf("tenant %s: replayed %d journaled decisions from %s", t.id, n, jl.Path())
 		}
 		t.journal.SetSink(jl)
 	}
@@ -267,7 +263,7 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 			}
 			d.closers = append(d.closers, dk.Close)
 			endpoints[z.HVAC.ID] = dk.URL()
-			t.logf("tenant %s: emulated %s at %s (LAN addr %s)", t.id, z.HVAC.ID, dk.URL(), z.HVAC.Addr)
+			obsLogf("tenant %s: emulated %s at %s (LAN addr %s)", t.id, z.HVAC.ID, dk.URL(), z.HVAC.Addr)
 
 			hue, err := devicesim.StartHue()
 			if err != nil {
@@ -275,7 +271,7 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 			}
 			d.closers = append(d.closers, hue.Close)
 			endpoints[z.Light.ID] = hue.URL()
-			t.logf("tenant %s: emulated %s at %s (LAN addr %s)", t.id, z.Light.ID, hue.URL(), z.Light.Addr)
+			obsLogf("tenant %s: emulated %s at %s (LAN addr %s)", t.id, z.Light.ID, hue.URL(), z.Light.Addr)
 		}
 		cfg.Firewall = fw
 		cfg.Binding = &controller.HTTPBinding{Endpoints: endpoints, Firewall: fw}
@@ -284,7 +280,7 @@ func (d *Daemon) newTenant(opts Options, spec TenantSpec, view store.Adapter, di
 	if t.ctrl, err = controller.New(cfg); err != nil {
 		return nil, err
 	}
-	t.api = t.obsMiddleware(t.degradeMiddleware(controller.API(t.ctrl)))
+	t.api = t.obsMiddleware(d.degradeMiddleware(t.id, controller.API(t.ctrl)))
 	t.strip = http.StripPrefix("/t/"+t.id, t.api)
 	return t, nil
 }

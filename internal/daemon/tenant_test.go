@@ -44,7 +44,7 @@ func TestParseTenantID(t *testing.T) {
 }
 
 func TestDaemonRejectsBadTenants(t *testing.T) {
-	base := Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165, Logf: t.Logf}
+	base := Options{Addr: "127.0.0.1:0", Residence: "flat", WeeklyBudgetKWh: 165}
 	bad := base
 	bad.Tenants = []TenantSpec{{ID: "../etc"}}
 	if _, err := New(bad); err == nil {
@@ -86,7 +86,6 @@ func TestDaemonMultiTenantRouting(t *testing.T) {
 		WeeklyBudgetKWh: 165,
 		StoreBackend:    "mem",
 		Clock:           clock,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestDaemonMultiTenantStores(t *testing.T) {
 		dir := t.TempDir()
 		d, err := New(Options{
 			Addr: "127.0.0.1:0", Tenants: tenants,
-			WeeklyBudgetKWh: 165, StoreDir: dir, Logf: t.Logf,
+			WeeklyBudgetKWh: 165, StoreDir: dir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +235,6 @@ func TestDaemonFleetCycle(t *testing.T) {
 		FleetWorkers:    4,
 		WeeklyBudgetKWh: 165,
 		Clock:           clock,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +270,6 @@ func TestDaemonConcurrentPlanRunAndFleetCycle(t *testing.T) {
 		WeeklyBudgetKWh: 40,
 		StoreBackend:    "mem",
 		Clock:           clock,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -321,12 +318,13 @@ func TestDaemonConcurrentPlanRunAndFleetCycle(t *testing.T) {
 	}
 }
 
-// TestDaemonTenantDegradedSharedLog is the tenant-aware degraded-mode
-// e2e on the shared WAL. Every tenant writes through one log, so a full
-// disk is a shared fault, but degraded mode stays tenant-scoped: a
-// tenant degrades when its own mutation fails and its probe confirms
-// the fault, the per-tenant metrics say which homes degraded, and each
-// tenant heals on its own next mutation once the disk recovers.
+// TestDaemonTenantDegradedSharedLog is the degraded-mode e2e on the
+// shared WAL. Every tenant writes through one log, so a fault that one
+// tenant confirms degrades them all: once h2's failed mutation and
+// probe have degraded the store, h1's next mutation is refused with 503
+// and Retry-After without running, /healthz (served for the default
+// tenant, h1) reports degraded, and one successful recovery probe, here
+// from h2, heals both.
 func TestDaemonTenantDegradedSharedLog(t *testing.T) {
 	mem := faultfs.NewMemFS()
 	var diskFull atomic.Bool
@@ -350,7 +348,6 @@ func TestDaemonTenantDegradedSharedLog(t *testing.T) {
 		WeeklyBudgetKWh: 165,
 		StoreDir:        "/fleet/store",
 		FS:              faultfs.NewFaulty(mem, inj),
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,71 +358,77 @@ func TestDaemonTenantDegradedSharedLog(t *testing.T) {
 	obs := "http://" + d.MetricsAddr()
 
 	mrtJSON := getBodyOK(t, api+"/t/h2/rest/mrt")
-	post := func(id string) int {
+	post := func(id string) *http.Response {
+		t.Helper()
 		resp, err := http.Post(api+"/t/"+id+"/rest/mrt", "application/json",
 			strings.NewReader(mrtJSON))
 		if err != nil {
 			t.Fatalf("POST /t/%s/rest/mrt: %v", id, err)
 		}
-		return drainStatus(resp)
+		return resp
+	}
+	healthz := func() string {
+		t.Helper()
+		resp, err := http.Get(obs + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hz struct{ Status string }
+		if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %s", resp.StatusCode, hz.Status)
 	}
 
-	if code := post("h2"); code != http.StatusOK {
+	if code := drainStatus(post("h2")); code != http.StatusOK {
 		t.Fatalf("healthy POST = %d, want 200", code)
 	}
 
-	// The disk fills: h2's next mutation 500s and trips degraded mode.
+	// The disk fills: h2's next mutation 500s, and its probe confirms
+	// the fault and degrades the store.
+	rejects0 := tenantDegradedRejects.With("h1").Value()
 	diskFull.Store(true)
-	if code := post("h2"); code != http.StatusInternalServerError {
+	if code := drainStatus(post("h2")); code != http.StatusInternalServerError {
 		t.Fatalf("disk-full POST = %d, want 500", code)
 	}
-	if !d.Tenant("h2").Degraded() {
-		t.Fatal("h2 not degraded after persist failure and failing probe")
-	}
-	if code := post("h2"); code != http.StatusServiceUnavailable {
+	if code := drainStatus(post("h2")); code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded POST = %d, want 503", code)
 	}
 
-	// The neighbor (the default tenant) has not written since the
-	// fault, so it is not yet degraded.
-	if d.Tenant("h1").Degraded() {
-		t.Fatal("tenant degraded without a failed mutation of its own")
+	// h1 has not written since the fault, yet its next mutation is
+	// refused up front: the handler never runs, so it cannot 500.
+	resp := post("h1")
+	if code := drainStatus(resp); code != http.StatusServiceUnavailable {
+		t.Fatalf("neighbor POST on the degraded store = %d, want 503", code)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("neighbor's 503 is missing Retry-After")
+	}
+	if got := tenantDegradedRejects.With("h1").Value() - rejects0; got != 1 {
+		t.Fatalf("h1 degraded rejects rose by %v, want 1", got)
+	}
+	if got := healthz(); got != "503 degraded" {
+		t.Fatalf("/healthz = %s while the store is degraded, want 503 degraded", got)
+	}
+	if got := scrapeMetrics(t, obs+"/metrics")["imcf_store_degraded"]; got != 1 {
+		t.Fatalf("imcf_store_degraded = %v, want 1", got)
 	}
 
-	fams := scrapeMetrics(t, obs+"/metrics")
-	if fams[`imcf_tenant_degraded{tenant="h2"}`] != 1 {
-		t.Errorf("imcf_tenant_degraded{h2} = %v, want 1", fams[`imcf_tenant_degraded{tenant="h2"}`])
-	}
-	if got := fams[`imcf_tenant_degraded{tenant="h1"}`]; got != 0 {
-		t.Errorf("imcf_tenant_degraded{h1} = %v, want 0 (default tenant h1 is healthy)", got)
-	}
-
-	// The neighbor's own mutation then hits the shared log and degrades
-	// it too.
-	if code := post("h1"); code != http.StatusInternalServerError {
-		t.Fatalf("neighbor disk-full POST = %d, want 500", code)
-	}
-	if !d.Tenant("h1").Degraded() {
-		t.Fatal("h1 not degraded after its own persist failure")
-	}
-
-	// The disk recovers; each tenant's next mutation probes, heals, and
-	// serves, and a tenant stays degraded until it does.
+	// The disk recovers. h2's next mutation probes, heals the store and
+	// is served; h1 is healed by that one probe, before it writes again.
 	diskFull.Store(false)
-	if code := post("h2"); code != http.StatusOK {
+	if code := drainStatus(post("h2")); code != http.StatusOK {
 		t.Fatalf("post-recovery POST = %d, want 200", code)
 	}
-	if d.Tenant("h2").Degraded() {
-		t.Fatal("h2 still degraded after recovery")
+	if got := healthz(); got != "200 ok" {
+		t.Fatalf("/healthz = %s after h2's recovery probe, want 200 ok", got)
 	}
-	if !d.Tenant("h1").Degraded() {
-		t.Fatal("h1 healed without a probe of its own")
+	if got := scrapeMetrics(t, obs+"/metrics")["imcf_store_degraded"]; got != 0 {
+		t.Fatalf("imcf_store_degraded = %v after recovery, want 0", got)
 	}
-	if code := post("h1"); code != http.StatusOK {
+	if code := drainStatus(post("h1")); code != http.StatusOK {
 		t.Fatalf("neighbor post-recovery POST = %d, want 200", code)
-	}
-	if d.Tenant("h1").Degraded() {
-		t.Fatal("h1 still degraded after recovery")
 	}
 }
 
@@ -446,7 +449,6 @@ func TestDaemonEveryTenantReportsHealth(t *testing.T) {
 		WeeklyBudgetKWh: 165,
 		Clock:           clock,
 		Binding:         binding,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

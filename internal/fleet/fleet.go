@@ -102,7 +102,7 @@ type Options struct {
 
 // Scheduler fans planning cycles across a tenant fleet. A Scheduler is
 // immutable after New; Cycle may be called from one goroutine at a
-// time (the daemon's cron).
+// time (the daemon's schedule loop).
 type Scheduler struct {
 	members    []Member         // sorted by ID: deterministic dispatch + report order
 	planGauges []*metrics.Gauge // imcf_fleet_tenant_plan_seconds children, index-aligned with members

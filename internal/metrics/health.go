@@ -17,13 +17,6 @@ type Health struct {
 	reason  string
 	since   time.Time
 
-	// degraded is orthogonal to healthy: the process is alive and
-	// serving reads, but the durable layer rejects writes (full or
-	// failing disk), so mutations are refused with 503. The daemon
-	// flips it via SetDegraded/ClearDegraded.
-	degraded       bool
-	degradedReason string
-
 	gauge *Gauge // optional 1/0 mirror on /metrics
 }
 
@@ -75,35 +68,9 @@ func (h *Health) Healthy() (bool, string) {
 	return h.healthy, h.reason
 }
 
-// SetDegraded marks the process degraded: alive, serving reads, but
-// refusing mutations.
-func (h *Health) SetDegraded(reason string) {
-	h.mu.Lock()
-	h.degraded = true
-	h.degradedReason = reason
-	h.mu.Unlock()
-}
-
-// ClearDegraded returns the process to full service.
-func (h *Health) ClearDegraded() {
-	h.mu.Lock()
-	h.degraded = false
-	h.degradedReason = ""
-	h.mu.Unlock()
-}
-
-// Degraded reports whether the process is in read-only degraded mode
-// and, if so, why.
-func (h *Health) Degraded() (bool, string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.degraded, h.degradedReason
-}
-
 // Handler serves the health state as JSON: 200 {"status":"ok"} when
-// healthy, 503 {"status":"unhealthy","reason":...} when not, and 503
-// {"status":"degraded","reason":...} when the process is alive but in
-// read-only degraded mode — mount it at GET /healthz.
+// healthy, 503 {"status":"unhealthy","reason":...} when not — mount it
+// at GET /healthz.
 func (h *Health) Handler() http.Handler { return h.HandlerDetail(nil) }
 
 // HandlerDetail is Handler with extra detail merged into the JSON body:
@@ -113,10 +80,8 @@ func (h *Health) Handler() http.Handler { return h.HandlerDetail(nil) }
 // changing the liveness semantics.
 func (h *Health) HandlerDetail(detail func() map[string]any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		ok, reason := h.Healthy()
-		degraded, degradedReason := h.Degraded()
 		h.mu.Lock()
-		since := h.since
+		ok, reason, since := h.healthy, h.reason, h.since
 		h.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		body := map[string]any{}
@@ -128,14 +93,9 @@ func (h *Health) HandlerDetail(detail func() map[string]any) http.Handler {
 		body["status"] = "ok"
 		body["since"] = since.Format(time.RFC3339Nano)
 		status := http.StatusOK
-		switch {
-		case !ok:
+		if !ok {
 			body["status"] = "unhealthy"
 			body["reason"] = reason
-			status = http.StatusServiceUnavailable
-		case degraded:
-			body["status"] = "degraded"
-			body["reason"] = degradedReason
 			status = http.StatusServiceUnavailable
 		}
 		w.WriteHeader(status)

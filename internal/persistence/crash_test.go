@@ -10,15 +10,14 @@ import (
 
 // The journal's crash suite mirrors the store's: enumerate every file
 // operation a scripted append workload performs, crash at each one,
-// reboot, and assert the log always reopens and replays cleanly and —
-// with sync-every-event cadence — that no acknowledged event is lost.
+// reboot, and assert the log always reopens and replays cleanly and
+// that no acknowledged event is lost.
 
 const journalCrashEvents = 6
 
-func journalWorkload(t *testing.T, fsys faultfs.FS, syncEvery int) (acked int, dead bool) {
+func journalWorkload(t *testing.T, fsys faultfs.FS) (acked int, dead bool) {
 	t.Helper()
-	o := JournalOptions{SyncEvery: syncEvery, FS: fsys}
-	l, err := OpenJournalOpts("/jnl", o)
+	l, err := OpenJournal("/jnl", fsys)
 	if err != nil {
 		return 0, true
 	}
@@ -34,78 +33,77 @@ func journalWorkload(t *testing.T, fsys faultfs.FS, syncEvery int) (acked int, d
 	return acked, false
 }
 
-func countJournalOps(t *testing.T, syncEvery int) int {
+func countJournalOps(t *testing.T) int {
 	t.Helper()
 	faulty := faultfs.NewFaulty(faultfs.NewMemFS(), nil)
-	if acked, dead := journalWorkload(t, faulty, syncEvery); dead || acked != journalCrashEvents {
+	if acked, dead := journalWorkload(t, faulty); dead || acked != journalCrashEvents {
 		t.Fatalf("fault-free workload failed: acked=%d dead=%v", acked, dead)
 	}
 	return faulty.Ops()
 }
 
+// TestJournalCrashRecoveryEveryFailpoint crashes the workload at every
+// failpoint, with and without tearing unsynced pages. The journal
+// fsyncs every event, the syncEvery=1 of the subtest names.
 func TestJournalCrashRecoveryEveryFailpoint(t *testing.T) {
-	for _, syncEvery := range []int{1, 3, -1} {
-		for _, tear := range []uint64{0, 0xD15C} {
-			t.Run(fmt.Sprintf("syncEvery=%d/tear=%#x", syncEvery, tear), func(t *testing.T) {
-				total := countJournalOps(t, syncEvery)
-				if total < journalCrashEvents {
-					t.Fatalf("suspiciously few failpoints: %d", total)
+	for _, tear := range []uint64{0, 0xD15C} {
+		t.Run(fmt.Sprintf("syncEvery=1/tear=%#x", tear), func(t *testing.T) {
+			total := countJournalOps(t)
+			if total < journalCrashEvents {
+				t.Fatalf("suspiciously few failpoints: %d", total)
+			}
+			for n := 0; n < total; n++ {
+				mem := faultfs.NewMemFS()
+				faulty := faultfs.NewFaulty(mem, faultfs.CrashAt(n))
+				acked, deadAfter := journalWorkload(t, faulty)
+				if !faulty.Dead() && !deadAfter {
+					t.Fatalf("failpoint %d never fired (ops=%d)", n, faulty.Ops())
 				}
-				for n := 0; n < total; n++ {
-					mem := faultfs.NewMemFS()
-					faulty := faultfs.NewFaulty(mem, faultfs.CrashAt(n))
-					acked, deadAfter := journalWorkload(t, faulty, syncEvery)
-					if !faulty.Dead() && !deadAfter {
-						t.Fatalf("failpoint %d never fired (ops=%d)", n, faulty.Ops())
-					}
-					if tear == 0 {
-						mem.Crash()
-					} else {
-						mem.CrashTearing(tear)
-					}
+				if tear == 0 {
+					mem.Crash()
+				} else {
+					mem.CrashTearing(tear)
+				}
 
-					// Reboot: reopen and replay must always succeed.
-					l, err := OpenJournalOpts("/jnl", JournalOptions{SyncEvery: syncEvery, FS: mem})
-					if err != nil {
-						t.Fatalf("failpoint %d: reopen failed: %v", n, err)
-					}
-					var got []journal.Event
-					cnt, err := l.Replay(func(ev journal.Event) { got = append(got, ev) })
-					if err != nil {
-						t.Fatalf("failpoint %d: replay failed: %v", n, err)
-					}
-					if cnt > journalCrashEvents {
-						t.Fatalf("failpoint %d: replayed %d events, more than ever written", n, cnt)
-					}
-					// Sync-every-event cadence: every acked event must
-					// survive, in order, as a prefix of the workload.
-					if syncEvery == 1 {
-						if cnt < acked {
-							t.Fatalf("failpoint %d: lost acked events: replayed %d < acked %d", n, cnt, acked)
-						}
-						for i, ev := range got {
-							if ev != journalEvent(i) {
-								t.Fatalf("failpoint %d: event %d = %+v, want %+v", n, i, ev, journalEvent(i))
-							}
-						}
-					}
-					// The rebooted log accepts new appends.
-					if err := l.AppendEvent(journalEvent(journalCrashEvents)); err != nil {
-						t.Fatalf("failpoint %d: post-recovery append: %v", n, err)
-					}
-					if err := l.Close(); err != nil {
-						t.Fatalf("failpoint %d: post-recovery close: %v", n, err)
+				// Reboot: reopen and replay must always succeed.
+				l, err := OpenJournal("/jnl", mem)
+				if err != nil {
+					t.Fatalf("failpoint %d: reopen failed: %v", n, err)
+				}
+				var got []journal.Event
+				cnt, err := l.Replay(func(ev journal.Event) { got = append(got, ev) })
+				if err != nil {
+					t.Fatalf("failpoint %d: replay failed: %v", n, err)
+				}
+				if cnt > journalCrashEvents {
+					t.Fatalf("failpoint %d: replayed %d events, more than ever written", n, cnt)
+				}
+				// Every acked event survives, in order, as a prefix of
+				// the workload.
+				if cnt < acked {
+					t.Fatalf("failpoint %d: lost acked events: replayed %d < acked %d", n, cnt, acked)
+				}
+				for i, ev := range got {
+					if ev != journalEvent(i) {
+						t.Fatalf("failpoint %d: event %d = %+v, want %+v", n, i, ev, journalEvent(i))
 					}
 				}
-			})
-		}
+				// The rebooted log accepts new appends.
+				if err := l.AppendEvent(journalEvent(journalCrashEvents)); err != nil {
+					t.Fatalf("failpoint %d: post-recovery append: %v", n, err)
+				}
+				if err := l.Close(); err != nil {
+					t.Fatalf("failpoint %d: post-recovery close: %v", n, err)
+				}
+			}
+		})
 	}
 }
 
-// TestJournalSyncCadence pins the -journal-sync semantics: with
-// SyncEvery=N only every Nth append fsyncs; with close-only cadence
-// (negative) no append fsyncs but Close does.
-func TestJournalSyncCadence(t *testing.T) {
+// TestJournalSyncsEveryEvent pins the journal's one durability
+// cadence: N appends make N fsyncs of the log, and Close, with nothing
+// left unsynced, adds none.
+func TestJournalSyncsEveryEvent(t *testing.T) {
 	mem := faultfs.NewMemFS()
 	var syncs int
 	inj := faultfs.InjectorFunc(func(op faultfs.FaultOp) *faultfs.Fault {
@@ -114,43 +112,23 @@ func TestJournalSyncCadence(t *testing.T) {
 		}
 		return nil
 	})
-
-	l, err := OpenJournalOpts("/jnl", JournalOptions{SyncEvery: 3, FS: faultfs.NewFaulty(mem, inj)})
+	l, err := OpenJournal("/jnl", faultfs.NewFaulty(mem, inj))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 7; i++ {
+	const events = 7
+	for i := 0; i < events; i++ {
 		if err := l.AppendEvent(journalEvent(i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if syncs != 2 { // after events 3 and 6
-		t.Fatalf("SyncEvery=3: %d fsyncs after 7 appends, want 2", syncs)
+		if syncs != i+1 {
+			t.Fatalf("after %d appends: %d fsyncs, want %d", i+1, syncs, i+1)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if syncs != 3 { // Close syncs the remaining tail
-		t.Fatalf("after Close: %d fsyncs, want 3", syncs)
-	}
-
-	syncs = 0
-	l2, err := OpenJournalOpts("/jnl", JournalOptions{SyncEvery: -1, FS: faultfs.NewFaulty(mem, inj)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := l2.AppendEvent(journalEvent(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if syncs != 0 {
-		t.Fatalf("close-only cadence fsynced %d times during appends", syncs)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if syncs != 1 {
-		t.Fatalf("close-only cadence: %d fsyncs at Close, want 1", syncs)
+	if syncs != events {
+		t.Fatalf("Close fsynced: %d fsyncs after %d appends and Close, want %d", syncs, events, events)
 	}
 }

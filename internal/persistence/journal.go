@@ -1,7 +1,6 @@
 package persistence
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -23,7 +22,7 @@ var (
 	journalRecords = metrics.NewCounter("imcf_persistence_journal_records_total",
 		"Decision-provenance events appended to the on-disk journal log.")
 	journalSyncs = metrics.NewCounter("imcf_persistence_journal_syncs_total",
-		"fsyncs of the journal log (cadence configured by -journal-sync).")
+		"fsyncs of the journal log, one per appended event.")
 	journalSkippedLines = metrics.NewCounter("imcf_persistence_journal_skipped_lines_total",
 		"Torn or corrupt journal lines skipped during replay.")
 )
@@ -32,77 +31,43 @@ var (
 // persistence directory.
 const JournalFile = "decisions.jnl"
 
-// JournalOptions tunes the durability of a JournalLog.
-type JournalOptions struct {
-	// SyncEvery fsyncs the log after every N appended events. 0 means
-	// the default of 1 (sync every event); a negative value syncs only
-	// on Close — the provenance journal is advisory, so operators can
-	// trade a crash's worth of events for append latency
-	// (imcfd -journal-sync).
-	SyncEvery int
-	// FS overrides the file layer (tests inject faultfs fakes); nil
-	// uses the real filesystem.
-	FS faultfs.FS
-}
-
-func (o JournalOptions) syncEvery() int {
-	if o.SyncEvery == 0 {
-		return 1
-	}
-	return o.SyncEvery
-}
-
 // JournalLog is the durable backing of the decision journal: one JSON
-// event per line, appended and flushed synchronously so a crash loses
-// at most the events since the last fsync. It implements journal.Sink;
-// the daemon replays it on boot (Replay → journal.Preload) and installs
-// it as the live journal's sink, making "why was rule R dropped"
+// event per line, written and fsynced before AppendEvent returns, so a
+// crash loses no acknowledged event. It implements journal.Sink; the
+// daemon replays it on boot (Replay → journal.Preload) and installs it
+// as the live journal's sink, making "why was rule R dropped"
 // answerable across restarts. Safe for concurrent use.
 type JournalLog struct {
-	mu        sync.Mutex
-	path      string
-	fs        faultfs.FS
-	opts      JournalOptions
-	f         faultfs.File
-	bw        *bufio.Writer
-	enc       *json.Encoder
-	sinceSync int
+	mu   sync.Mutex
+	path string
+	fs   faultfs.FS
+	f    faultfs.File
+	enc  *json.Encoder // writes each event to f in one Write
 }
 
-// OpenJournal opens (creating if needed) the journal log in dir with
-// default durability (fsync every event).
-func OpenJournal(dir string) (*JournalLog, error) {
-	return OpenJournalOpts(dir, JournalOptions{})
-}
-
-// OpenJournalOpts opens (creating if needed) the journal log in dir.
-func OpenJournalOpts(dir string, o JournalOptions) (*JournalLog, error) {
+// OpenJournal opens (creating if needed) the journal log in dir. fsys
+// is the file layer (tests inject faultfs fakes); nil uses the real
+// filesystem.
+func OpenJournal(dir string, fsys faultfs.FS) (*JournalLog, error) {
 	if dir == "" {
 		return nil, errors.New("persistence: journal dir must be set")
 	}
-	fsys := o.FS
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persistence: create journal dir: %w", err)
 	}
-	return OpenJournalFileOpts(filepath.Join(dir, JournalFile), o)
+	return OpenJournalFile(filepath.Join(dir, JournalFile), fsys)
 }
 
 // OpenJournalFile opens (creating if needed) a journal log at an
 // explicit path — cmd/imcf-explain uses it to read arbitrary dumps.
-func OpenJournalFile(path string) (*JournalLog, error) {
-	return OpenJournalFileOpts(path, JournalOptions{})
-}
-
-// OpenJournalFileOpts opens (creating if needed) a journal log at an
-// explicit path.
-func OpenJournalFileOpts(path string, o JournalOptions) (*JournalLog, error) {
+// fsys nil uses the real filesystem.
+func OpenJournalFile(path string, fsys faultfs.FS) (*JournalLog, error) {
 	if path == "" {
 		return nil, errors.New("persistence: journal path must be set")
 	}
-	fsys := o.FS
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
@@ -117,15 +82,14 @@ func OpenJournalFileOpts(path string, o JournalOptions) (*JournalLog, error) {
 		f.Close() //nolint:errcheck // the syncdir error is already being returned
 		return nil, fmt.Errorf("persistence: sync journal dir: %w", err)
 	}
-	bw := bufio.NewWriter(f)
-	return &JournalLog{path: path, fs: fsys, opts: o, f: f, bw: bw, enc: json.NewEncoder(bw)}, nil
+	return &JournalLog{path: path, fs: fsys, f: f, enc: json.NewEncoder(f)}, nil
 }
 
 // Path returns the log's file path.
 func (l *JournalLog) Path() string { return l.path }
 
 // AppendEvent appends one event (implements journal.Sink) and fsyncs
-// according to the configured cadence.
+// it.
 func (l *JournalLog) AppendEvent(ev journal.Event) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -133,21 +97,14 @@ func (l *JournalLog) AppendEvent(ev journal.Event) error {
 		return errors.New("persistence: journal log is closed")
 	}
 	if err := l.enc.Encode(ev); err != nil {
-		return fmt.Errorf("persistence: encode journal event: %w", err)
-	}
-	if err := l.bw.Flush(); err != nil {
-		return fmt.Errorf("persistence: flush journal: %w", err)
+		return fmt.Errorf("persistence: write journal event: %w", err)
 	}
 	journalRecords.Inc()
-	l.sinceSync++
-	if every := l.opts.syncEvery(); every > 0 && l.sinceSync >= every {
-		//imcf:allow lockdiscipline sync cadence under l.mu keeps the fsync ordered after exactly the flushed records; appenders queueing behind it is the durability contract
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("persistence: sync journal: %w", err)
-		}
-		l.sinceSync = 0
-		journalSyncs.Inc()
+	//imcf:allow lockdiscipline fsync under l.mu keeps it ordered after exactly the written record; appenders queueing behind it is the durability contract
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("persistence: sync journal: %w", err)
 	}
+	journalSyncs.Inc()
 	return nil
 }
 
@@ -198,33 +155,18 @@ func (l *JournalLog) Replay(fn func(journal.Event)) (int, error) {
 	return n, nil
 }
 
-// Close flushes, fsyncs and closes the log. The log is unusable after.
+// Close closes the log; every appended event is already on disk. The
+// log is unusable after.
 func (l *JournalLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
-	flushErr := l.bw.Flush()
-	var syncErr error
-	if flushErr == nil {
-		//imcf:allow lockdiscipline final fsync under l.mu: Close must drain every buffered record before the handle is released
-		syncErr = l.f.Sync()
-		if syncErr == nil && l.sinceSync > 0 {
-			l.sinceSync = 0
-			journalSyncs.Inc()
-		}
-	}
-	closeErr := l.f.Close()
+	err := l.f.Close()
 	l.f = nil
-	if flushErr != nil {
-		return fmt.Errorf("persistence: flush journal: %w", flushErr)
-	}
-	if syncErr != nil {
-		return fmt.Errorf("persistence: sync journal: %w", syncErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("persistence: close journal: %w", closeErr)
+	if err != nil {
+		return fmt.Errorf("persistence: close journal: %w", err)
 	}
 	return nil
 }

@@ -27,7 +27,7 @@ func journalEvent(i int) journal.Event {
 
 func TestJournalLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenJournal(dir)
+	l, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestJournalLogRoundTrip(t *testing.T) {
 	}
 
 	// Reopen appends; replay sees both sessions.
-	l2, err := OpenJournal(dir)
+	l2, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestJournalLogRoundTrip(t *testing.T) {
 
 func TestJournalLogTornTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenJournal(dir)
+	l, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestJournalLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenJournal(dir)
+	l2, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestJournalLogMalformedInterior(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{\"seq\":1}\nnot json\n{\"seq\":3}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenJournal(dir)
+	l, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +132,17 @@ func TestJournalLogMalformedInterior(t *testing.T) {
 }
 
 func TestOpenJournalErrors(t *testing.T) {
-	if _, err := OpenJournal(""); err == nil {
+	if _, err := OpenJournal("", nil); err == nil {
 		t.Fatal("empty dir accepted")
+	}
+	if _, err := OpenJournalFile("", nil); err == nil {
+		t.Fatal("empty path accepted")
 	}
 }
 
 func TestJournalLogAsSink(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenJournal(dir)
+	l, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestJournalLogAsSink(t *testing.T) {
 	}
 
 	// Restart: preload the persisted events into a fresh journal.
-	l2, err := OpenJournal(dir)
+	l2, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

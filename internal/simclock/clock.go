@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Clock abstracts time for components that schedule work (the controller's
-// cron scheduler, lease expiry in the store). Production code uses
+// Clock abstracts time for components that schedule work (the daemon's
+// planning schedule, lease expiry in the store). Production code uses
 // RealClock; tests and simulations use SimClock and drive it explicitly.
 type Clock interface {
 	// Now returns the current instant.

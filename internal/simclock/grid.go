@@ -1,7 +1,7 @@
 // Package simclock provides the simulation time base for IMCF: a fixed
 // grid of equally-sized time slots over an evaluation period, season and
 // time-window helpers used by meta-rules, and a Clock abstraction that
-// lets the controller's cron scheduler run against either wall-clock or
+// lets the daemon's planning schedule run against either wall-clock or
 // simulated time.
 //
 // The paper evaluates EP on an hourly granularity over three-year trace

@@ -6,20 +6,18 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/imcf/imcf/internal/metrics"
 )
 
-// Decision-stream request counters, by transport, shared by every hub
+// Decision-stream request counters, by kind, shared by every hub
 // server (controller edge and relay fan-out alike).
 var (
 	streamRequestsVec = metrics.NewCounterVec("imcf_stream_requests_total",
 		"Decision-stream requests served, by kind.", "kind")
 	streamSnapshots = streamRequestsVec.With("snapshot")
 	streamPolls     = streamRequestsVec.With("poll")
-	streamSSEConns  = streamRequestsVec.With("sse")
 	streamResyncs   = streamRequestsVec.With("resync")
 	// StreamNotModified counts ETag revalidations answered 304 by the
 	// stream-versioned read surfaces.
@@ -43,14 +41,13 @@ func (h *Hub) SnapshotHandler() http.HandlerFunc {
 	}
 }
 
-// DeltaHandler serves the delta feed. Plain requests long-poll: the
-// response is one coalesced batch, held back up to ?wait= seconds when
-// nothing is newer than the resume position (Last-Event-Seq or
-// Last-Event-ID header, or ?seq=; instance from Stream-Instance or
-// ?instance=). With Accept: text/event-stream the connection stays
-// open and batches flow as SSE "batch" events whose id: line carries
-// the sequence number to resume from. Either way an unresumable
-// position answers 409 and the subscriber refetches the snapshot.
+// DeltaHandler serves the delta feed by long-poll: the response is one
+// coalesced batch, held back up to ?wait= seconds when nothing is newer
+// than the resume position (Last-Event-Seq header or ?seq=; instance
+// from Stream-Instance or ?instance=). The response's Last-Event-Seq
+// and Stream-Instance headers are the position to resume from. An
+// unresumable position answers 409 and the subscriber refetches the
+// snapshot.
 func (h *Hub) DeltaHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		instance, seq, err := resumePosition(r, h)
@@ -60,10 +57,6 @@ func (h *Hub) DeltaHandler() http.HandlerFunc {
 		}
 		if _, ok := h.Since(instance, seq); !ok {
 			writeResync(w)
-			return
-		}
-		if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-			h.serveSSE(w, r, instance, seq)
 			return
 		}
 		wait, err := parseWait(r)
@@ -102,9 +95,6 @@ func resumePosition(r *http.Request, h *Hub) (instance string, seq uint64, err e
 	}
 	raw := r.Header.Get("Last-Event-Seq")
 	if raw == "" {
-		raw = r.Header.Get("Last-Event-ID")
-	}
-	if raw == "" {
 		raw = r.URL.Query().Get("seq")
 	}
 	if raw == "" {
@@ -139,45 +129,6 @@ func writeResync(w http.ResponseWriter) {
 		"error":  "position not resumable; fetch a fresh snapshot",
 		"resync": "snapshot",
 	})
-}
-
-// serveSSE follows the stream over one held-open connection until the
-// client hangs up or the hub closes. A mid-stream gap (the ring lapped
-// a slow client) emits a terminal "resync" event instead of silently
-// skipping state.
-func (h *Hub) serveSSE(w http.ResponseWriter, r *http.Request, instance string, seq uint64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeStreamJSON(w, http.StatusNotImplemented, map[string]string{"error": "response writer cannot stream"})
-		return
-	}
-	streamSSEConns.Inc()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Stream-Instance", h.Instance())
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	for {
-		b, ok := h.Since(instance, seq)
-		if !ok {
-			fmt.Fprint(w, "event: resync\ndata: {}\n\n") //nolint:errcheck // terminal event; client reconnects either way
-			fl.Flush()
-			streamResyncs.Inc()
-			return
-		}
-		if b.Through > seq {
-			data, err := json.Marshal(b)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: batch\ndata: %s\n\n", b.Through, data) //nolint:errcheck // flush surfaces a dead client via ctx
-			fl.Flush()
-			seq = b.Through
-		}
-		if !h.Wait(r.Context(), seq) {
-			return
-		}
-	}
 }
 
 func writeStreamJSON(w http.ResponseWriter, status int, v any) {

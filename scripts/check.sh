@@ -74,7 +74,8 @@ echo ">> EP suite"
 ./scripts/gates.sh ep
 
 # Crash suite: kill-at-every-failpoint recovery for the store and the
-# decision journal, the multi-tenant fleet crash suite (tenants as
+# decision journal, the journal's fsync per event, the multi-tenant
+# fleet crash suite (tenants as
 # namespaces of one shared WAL — a crash mid-fleet-cycle must leave
 # every tenant at a point in its own history), plus the daemon
 # degraded-mode e2e (DESIGN.md §11, §12, §13). Runs without -race first
@@ -83,7 +84,7 @@ echo ">> EP suite"
 echo ">> crash suite (kill-at-every-failpoint)"
 ./scripts/gates.sh crash
 
-# Degraded-mode tests in random order, twice over: the degraded gauges
+# Degraded-mode tests in random order, twice over: the degraded gauge
 # and counters are process-global, so a test that leaks one into the
 # next, or assumes one starts at zero, fails here.
 echo ">> degraded-mode tests, shuffled"
@@ -112,9 +113,10 @@ go test -count=1 -run "$equiv_gate" ./internal/daemon
 # over the stream protocol — through a chaos proxy dropping every other
 # delta poll, and across a daemon restart — must stay bit-identical to
 # one rebuilt by polling and to the controller's memory, for every
-# fleet tenant; SSE deltas must cross the cloud relay's proxy while the
-# connection is live; and GET /rest/plan, racing planning steps, must
-# serve every body under its own ETag.
+# fleet tenant; a delta long-poll parked at a site must cross the cloud
+# relay's proxy with the batch published after it parked and its resume
+# headers; and GET /rest/plan, racing planning steps, must serve every
+# body under its own ETag.
 echo ">> stream suite"
 ./scripts/gates.sh stream
 

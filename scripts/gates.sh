@@ -11,14 +11,14 @@
 # SUITE is one of:
 #
 #   crash   kill-at-every-failpoint recovery for the store, the decision
-#           journal and the flight recorder, the multi-tenant crash suite
-#           on a shared WAL, and the daemon degraded-mode e2e tests
-#           (DESIGN.md §11–§13, §15)
+#           journal and the flight recorder, the journal's fsync per
+#           event, the multi-tenant crash suite on a shared WAL, and the
+#           daemon degraded-mode e2e tests (DESIGN.md §11–§13, §15)
 #   stream  the stream-equivalence harness (a sync-maintained mirror
 #           bit-identical to a poll-built one and to controller memory,
-#           DESIGN.md §16), SSE deltas crossing the cloud relay's proxy,
-#           and GET /rest/plan pairing each body with its own ETag while
-#           steps publish
+#           DESIGN.md §16), a delta long-poll crossing the cloud relay's
+#           proxy, and GET /rest/plan pairing each body with its own
+#           ETag while steps publish
 #   fleet   the tenant-equivalence harness and the multi-tenant crash
 #           suite (DESIGN.md §13)
 #   ep      the Energy Planner's one step: the controller and the sim
@@ -30,10 +30,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-crash_gate='CrashRecoveryEveryFailpoint|CompactionRenameDurability|FailedCompactionLeavesCleanErrors|ProbeRecordsAreInvisible|JournalCrashRecoveryEveryFailpoint|JournalSyncCadence|DaemonDegradedMode|FleetCrashSharedWAL|RecorderCrashEveryFailpoint|DaemonDegradedFlightBundleCorrelation'
+crash_gate='CrashRecoveryEveryFailpoint|CompactionRenameDurability|FailedCompactionLeavesCleanErrors|ProbeRecordsAreInvisible|JournalCrashRecoveryEveryFailpoint|JournalSyncsEveryEvent|DaemonDegradedMode|FleetCrashSharedWAL|RecorderCrashEveryFailpoint|DaemonDegradedFlightBundleCorrelation'
 crash_pkgs='./internal/store ./internal/persistence ./internal/daemon ./internal/obs'
 
-stream_gate='StreamEquivalence|ProxyStreamsSSE|PlanBodyMatchesETag'
+stream_gate='StreamEquivalence|ProxyStreamsLongPoll|PlanBodyMatchesETag'
 stream_pkgs='./internal/daemon ./internal/cloud ./internal/controller'
 
 fleet_gate='FleetTenantEquivalence|FleetCrashSharedWAL'

@@ -41,7 +41,6 @@ func TestE2ETracing(t *testing.T) {
 			WeeklyBudgetKWh: 5,
 			PersistDir:      persistDir,
 			Clock:           clock,
-			Logf:            t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
