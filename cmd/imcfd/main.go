@@ -118,7 +118,7 @@ func main() {
 	}
 	defer d.Close() //nolint:errcheck // best-effort shutdown
 
-	go handleSignals(d)
+	handleSignals(d)
 	log.Printf("REST API on %s", d.APIAddr())
 	if ma := d.MetricsAddr(); ma != "" {
 		log.Printf("metrics on http://%s/metrics (health: /healthz, logs: /debug/logs)", ma)

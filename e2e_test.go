@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -142,6 +143,48 @@ budget "Cap" limit 165 kWh
 	// what matters is that the API serves the devices.
 	if len(items) != 6 {
 		t.Fatalf("items = %d", len(items))
+	}
+}
+
+// TestE2EDaemonSIGTERM builds imcfd, boots it on a store, and stops it
+// with SIGTERM, as a service manager or a plain kill does: the daemon
+// must shut down as on an interrupt (close the daemon, draining
+// requests and compacting the store) and exit 0.
+func TestE2EDaemonSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary e2e skipped in -short mode")
+	}
+	bin := buildBinary(t, "./cmd/imcfd")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() //nolint:errcheck
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin,
+		"-addr", addr,
+		"-metrics-addr", "",
+		"-diagnostics", "",
+		"-store", t.TempDir(),
+	)
+	var logs strings.Builder
+	cmd.Stdout = &logs
+	cmd.Stderr = &logs
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, "http://"+addr+"/rest/items")
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("imcfd after SIGTERM: %v, want exit 0\n%s", err, logs.String())
+	}
+	if !strings.Contains(logs.String(), "shutting down") {
+		t.Fatalf("imcfd exited without shutting down:\n%s", logs.String())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/imcf/imcf/internal/persistence"
 	"github.com/imcf/imcf/internal/simclock"
 	"github.com/imcf/imcf/internal/stream"
 	"github.com/imcf/imcf/internal/units"
@@ -20,16 +21,32 @@ const stepAllocBudget = 1
 // TestAllocsTraceControllerStep is the allocation gate on the
 // controller's planning step. At 19:00 five of the prototype's rules
 // are active; an ample budget keeps every one of them executed, so no
-// drop-only cost (the PerRule map, block reasons) is measured.
+// drop-only cost (the PerRule map, block reasons) is measured. With
+// Persistence set, the step also records every zone's two readings
+// under item names built once, in New, and must stay within the same
+// budget.
 func TestAllocsTraceControllerStep(t *testing.T) {
 	if raceEnabled {
 		// A step's publishes compact through a sync.Pool, so their
 		// count varies from run to run under -race.
 		t.Skip("sync.Pool drops a share of its puts under -race; check.sh runs this gate without it")
 	}
+	t.Run("bare", func(t *testing.T) { testStepAllocs(t, nil) })
+	t.Run("persistence", func(t *testing.T) {
+		svc, err := persistence.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		testStepAllocs(t, svc)
+	})
+}
+
+func testStepAllocs(t *testing.T, svc *persistence.Service) {
 	c := newController(t, func(cfg *Config) {
 		cfg.Clock = simclock.NewSimClock(time.Date(2015, time.January, 10, 19, 0, 0, 0, time.UTC))
 		cfg.WeeklyBudget = 1e6 * units.KilowattHour
+		cfg.Persistence = svc
 	})
 	// Warm up: grow the scratch and fill the history ring, so its
 	// append-phase growth is out of the picture.

@@ -169,6 +169,9 @@ type Controller struct {
 	model    rules.ErrorModel
 	clock    simclock.Clock
 	rec      *journal.Recorder
+	// senseItems names each zone's two persistence items, temperature
+	// then light; nil without Config.Persistence.
+	senseItems [][2]string
 
 	// stepMu serializes the controller's mutating entry points: planning
 	// cycles, whichever entry point (the daemon's schedule loop or an
@@ -292,6 +295,12 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Journal != nil {
 		c.rec = journal.NewRecorder(cfg.Journal)
 		planner.SetRecorder(c.rec)
+	}
+	if cfg.Persistence != nil {
+		c.senseItems = make([][2]string, len(cfg.Residence.Zones))
+		for z := range c.senseItems {
+			c.senseItems[z] = [2]string{fmt.Sprintf("zone%d/temperature", z), fmt.Sprintf("zone%d/light", z)}
+		}
 	}
 	for _, d := range cfg.Residence.Devices() {
 		if err := c.registry.Add(d); err != nil {
@@ -510,12 +519,11 @@ func (c *Controller) plan(traceID string) (*stepPlan, error) {
 	if c.cfg.Persistence != nil {
 		for z, zone := range c.cfg.Residence.Zones {
 			amb := zone.Ambient.AmbientAt(p.slot)
-			itemBase := fmt.Sprintf("zone%d/", z)
-			if err := c.cfg.Persistence.Record(itemBase+"temperature", trace.KindTemperature,
+			if err := c.cfg.Persistence.Record(c.senseItems[z][0], trace.KindTemperature,
 				trace.Record{Time: p.slot, Value: amb.Temperature}); err != nil {
 				return p, err
 			}
-			if err := c.cfg.Persistence.Record(itemBase+"light", trace.KindLight,
+			if err := c.cfg.Persistence.Record(c.senseItems[z][1], trace.KindLight,
 				trace.Record{Time: p.slot, Value: amb.Light}); err != nil {
 				return p, err
 			}

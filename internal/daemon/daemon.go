@@ -374,26 +374,26 @@ func newHTTPServer(h http.Handler) *http.Server {
 // compares. The merged stream is ordered by slot, ties in tenant-ID
 // then sequence order, so Filter.Limit keeps the newest events of
 // every home rather than the tail of the last one; Filter.Tenant
-// selects one home.
+// selects one home. Under a limit each journal contributes only its
+// own last Limit events in that order (journal.Latest): no event past
+// them can reach the merged tail.
 func (d *Daemon) mergedDecisions(f journal.Filter) []journal.Event {
-	limit := f.Limit
 	tenantFilter := f.Tenant
-	f.Limit = 0
 	f.Tenant = ""
 	out := []journal.Event{}
 	for _, t := range d.tenants {
 		if tenantFilter != "" && t.id != tenantFilter {
 			continue
 		}
-		evs := t.journal.Recent(f)
+		evs := t.journal.Latest(f)
 		for i := range evs {
 			evs[i].Tenant = t.id
 		}
 		out = append(out, evs...)
 	}
 	slices.SortStableFunc(out, func(a, b journal.Event) int { return a.Slot.Compare(b.Slot) })
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
+	if f.Limit > 0 && len(out) > f.Limit {
+		out = out[len(out)-f.Limit:]
 	}
 	return out
 }

@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -188,6 +190,85 @@ func TestDaemonDecisionsBytesMatchEvents(t *testing.T) {
 	d.decisionsHandler(rr, httptest.NewRequest("GET", "/debug/decisions", nil))
 	if got := rr.Body.String(); got != body.String() {
 		t.Fatalf("/debug/decisions body:\n got %s\nwant %s", got, body.String())
+	}
+}
+
+// TestDaemonLimitedMergeMatchesFullMerge pins that a limited decision
+// query, where each tenant contributes only its own last events,
+// serves exactly the bytes the full merge (every retained event of
+// every tenant, sorted by slot, then cut to the limit) serves. The
+// rings wrap, and their slots rewind as a replayed week's do, so a
+// tenant's last events by slot are not its ring's tail.
+func TestDaemonLimitedMergeMatchesFullMerge(t *testing.T) {
+	d, err := New(Options{
+		Addr: "127.0.0.1:0",
+		Tenants: []TenantSpec{
+			{ID: "h1", Residence: "flat", Seed: 1},
+			{ID: "h2", Residence: "prototype", Seed: 2},
+			{ID: "h3", Residence: "flat", Seed: 3},
+		},
+		WeeklyBudgetKWh: 165,
+		JournalCap:      50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close() //nolint:errcheck // test cleanup
+	week := time.Date(2021, time.January, 4, 0, 0, 0, 0, time.UTC)
+	for ti, tn := range d.tenants {
+		// Three 20-hour "weeks" per tenant, one to three verdicts an
+		// hour, each tenant starting at its own hour.
+		for step := 0; step < 60; step++ {
+			slot := week.Add(time.Duration((step+ti)%20) * time.Hour)
+			for k := 0; k <= (step+ti)%3; k++ {
+				v := journal.VerdictExecuted
+				if (step+k)%4 == 0 {
+					v = journal.VerdictDropped
+				}
+				tn.journal.Append(journal.Event{Slot: slot, Window: step, Rule: "r" + strconv.Itoa(k), Verdict: v})
+			}
+		}
+	}
+	fullMerge := func(f journal.Filter) []journal.Event {
+		out := []journal.Event{}
+		for _, tn := range d.tenants {
+			if f.Tenant != "" && tn.id != f.Tenant {
+				continue
+			}
+			evs := tn.journal.Recent(journal.Filter{Rule: f.Rule, Verdict: f.Verdict})
+			for i := range evs {
+				evs[i].Tenant = tn.id
+			}
+			out = append(out, evs...)
+		}
+		slices.SortStableFunc(out, func(a, b journal.Event) int { return a.Slot.Compare(b.Slot) })
+		if f.Limit > 0 && len(out) > f.Limit {
+			out = out[len(out)-f.Limit:]
+		}
+		return out
+	}
+	for _, query := range []string{
+		"limit=1", "limit=2", "limit=3", "limit=7", "limit=10", "limit=49", "limit=50",
+		"limit=51", "limit=149", "limit=150", "limit=1000", "",
+		"verdict=dropped&limit=5", "rule=r1&limit=9", "tenant=h2&limit=12", "tenant=h3",
+	} {
+		q, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := journal.ParseFilter(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(fullMerge(f)); err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		d.decisionsHandler(rr, httptest.NewRequest("GET", "/debug/decisions?"+query, nil))
+		if got := rr.Body.String(); got != want.String() {
+			t.Errorf("/debug/decisions?%s:\n got %s\nwant %s", query, got, want.String())
+		}
 	}
 }
 

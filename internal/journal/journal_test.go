@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -111,7 +112,13 @@ func TestNewDefaultCap(t *testing.T) {
 // at and across the block length) with a random mix of Append and
 // Preload, and checks Len, the eviction count and Recent — unfiltered,
 // and with a filter and a limit — against a plain slice holding the
-// most recent capacity events.
+// most recent capacity events, and Latest against the same slice
+// stably sorted by slot. Events come in runs shaped like plans,
+// each run broken at random by a new plan or by a change of trace, slot
+// (rewinding, as a replayed week does) or window alone; preloads skip
+// and reorder seqs. A last phase churns through rule names ten times
+// the capacity, and every check also holds the frame and rule tables
+// to the retained entries (checkTables).
 func TestRingMatchesModel(t *testing.T) {
 	for _, capacity := range []int{1, 255, 256, 300, 4096} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
@@ -152,49 +159,151 @@ func TestRingMatchesModel(t *testing.T) {
 				if got := j.Recent(f); !slices.Equal(got, want) {
 					t.Fatalf("op %d: Recent(%+v) = %+v, want %+v", op, f, got, want)
 				}
-			}
-			event := func(i int) Event {
-				v := VerdictExecuted
-				if rng.Intn(2) == 0 {
-					v = VerdictDropped
+				// Latest: the model stably sorted by slot, then its tail.
+				f = Filter{Verdict: VerdictDropped, Limit: rng.Intn(capacity + 2)}
+				want = want[:0]
+				for _, e := range model {
+					if f.Match(e) {
+						want = append(want, e)
+					}
 				}
-				return ev(i, fmt.Sprintf("r%d", rng.Intn(3)), v)
+				slices.SortStableFunc(want, func(a, b Event) int { return a.Slot.Compare(b.Slot) })
+				if f.Limit > 0 && len(want) > f.Limit {
+					want = want[len(want)-f.Limit:]
+				}
+				if got := j.Latest(f); !slices.Equal(got, want) {
+					t.Fatalf("op %d: Latest(%+v) differs from the sorted model (len %d vs %d)", op, f, len(got), len(want))
+				}
+				checkTables(t, op, j)
+			}
+			traces := []string{"", "trace-0", "trace-1"}
+			plan := Event{Slot: time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC), Owner: "alice"}
+			rule := func() string { return fmt.Sprintf("r%d", rng.Intn(3)) }
+			event := func(i int) Event {
+				switch rng.Intn(12) {
+				case 0, 1, 2: // the next plan
+					plan.Slot = plan.Slot.Add(time.Hour)
+					plan.Window++
+					plan.Trace = traces[rng.Intn(len(traces))]
+				case 3: // the trace alone changes mid-plan
+					plan.Trace = traces[rng.Intn(len(traces))]
+				case 4: // the slot alone rewinds mid-plan
+					plan.Slot = plan.Slot.Add(-time.Duration(rng.Intn(48)) * time.Hour)
+				case 5: // the window alone changes mid-plan
+					plan.Window = rng.Intn(4)
+				}
+				e := plan
+				e.Rule = rule()
+				e.Verdict = VerdictExecuted
+				if rng.Intn(2) == 0 {
+					e.Verdict = VerdictDropped
+				}
+				e.EpRemainingKWh, e.EnergyKWh, e.FCEDelta, e.FlipIter = 1.5, 0.2, float64(i)/8, i
+				return e
 			}
 			// Restart replay: preload past the capacity, so the
-			// preloaded events themselves wrap the ring.
+			// preloaded events themselves wrap the ring. Seqs mostly
+			// follow on, sometimes after a gap.
 			op := 0
 			for ; op < capacity+capacity/2+1; op++ {
 				e := event(op)
-				e.Seq = uint64(op + 1)
-				seq = e.Seq
+				if rng.Intn(8) == 0 {
+					seq += uint64(1 + rng.Intn(3))
+				}
+				seq++
+				e.Seq = seq
 				j.Preload(e)
 				push(e)
 			}
 			check(op)
 			// Then live appends, mixed with preloads of old and new
 			// sequence numbers, past the capacity again.
-			every := 1 + capacity/64
-			for end := op + 2*capacity + 10; op < end; op++ {
-				e := event(op)
-				if rng.Intn(10) == 0 {
-					e.Seq = uint64(rng.Int63n(int64(seq) + 5))
-					seq = max(seq, e.Seq)
-					j.Preload(e)
-					push(e)
-				} else {
-					seq++
-					e.Seq = seq
-					j.Append(e)
-					if push(e) {
-						evictions++
+			live := func(end, every int) {
+				for ; op < end; op++ {
+					e := event(op)
+					if rng.Intn(10) == 0 {
+						e.Seq = uint64(rng.Int63n(int64(seq) + 5))
+						seq = max(seq, e.Seq)
+						j.Preload(e)
+						push(e)
+					} else {
+						seq++
+						e.Seq = seq
+						j.Append(e)
+						if push(e) {
+							evictions++
+						}
+					}
+					if op%every == 0 {
+						check(op)
 					}
 				}
-				if op%every == 0 {
-					check(op)
-				}
+				check(op)
 			}
-			check(op)
+			live(op+2*capacity+10, 1+capacity/64)
+			// Rule-name churn: ten times the capacity in fresh
+			// (rule, owner) pairs, each named by a few events at most.
+			calls, names, owners := 0, 0, []string{"alice", "bob"}
+			rule = func() string {
+				if calls++; calls%3 != 0 {
+					names++
+				}
+				plan.Owner = owners[names%2]
+				return fmt.Sprintf("churn-%d", names)
+			}
+			live(op+15*capacity+3, 1+capacity/8)
+			if names < 10*capacity {
+				t.Fatalf("churn named %d rules, want at least %d", names, 10*capacity)
+			}
 		})
+	}
+}
+
+// checkTables holds j's frame and rule tables to its retained entries:
+// every entry is counted once by its frame block and once by its rule
+// row, the rule table has no more rows in use than entries (nor more
+// rows at all than the capacity), and the frame blocks in use are no
+// more than the live frames fill plus one.
+func checkTables(t *testing.T, op int, j *Journal) {
+	t.Helper()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	frames := map[uint32]bool{}
+	for i := 0; i < j.n; i++ {
+		frames[j.blocks[i/blockLen][i%blockLen].frame] = true
+	}
+	var blockRefs, inUse int
+	for _, c := range j.frameLive {
+		blockRefs += int(c)
+		if c > 0 {
+			inUse++
+		}
+	}
+	if blockRefs != j.n {
+		t.Fatalf("op %d: frame blocks count %d entries, want %d", op, blockRefs, j.n)
+	}
+	if most := (len(frames)+frameBlockLen-1)/frameBlockLen + 1; inUse > most {
+		t.Fatalf("op %d: %d frame blocks in use for %d live frames, want at most %d", op, inUse, len(frames), most)
+	}
+	if most := j.capacity/frameBlockLen + 2; len(j.frames) > most {
+		t.Fatalf("op %d: %d frame blocks allocated, want at most %d", op, len(j.frames), most)
+	}
+	var rows, ruleRefs int
+	for _, r := range j.rules {
+		if r.refs > 0 {
+			rows++
+			ruleRefs += int(r.refs)
+		}
+	}
+	if ruleRefs != j.n {
+		t.Fatalf("op %d: rule rows count %d entries, want %d", op, ruleRefs, j.n)
+	}
+	if rows > j.n || len(j.rules) > j.capacity || rows+len(j.freeRules) != len(j.rules) {
+		t.Fatalf("op %d: rule table has %d rows, %d in use and %d free, for %d entries (cap %d)",
+			op, len(j.rules), rows, len(j.freeRules), j.n, j.capacity)
+	}
+	if j.ruleIdx != nil && len(j.ruleIdx) != rows {
+		t.Fatalf("op %d: rule index has %d keys for %d rows in use", op, len(j.ruleIdx), rows)
 	}
 }
 
@@ -376,4 +485,55 @@ func TestRingRoundTripsEvents(t *testing.T) {
 	if got := restarted.Recent(Filter{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Recent after Preload from the log:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// TestConcurrentAppendAndRead appends from several goroutines, each
+// with its own plans and rule names, while others read with Recent and
+// Latest, as fleet workers and /debug/decisions do: under -race it
+// checks the ring's locking, and afterwards the tables still account
+// for exactly the retained entries.
+func TestConcurrentAppendAndRead(t *testing.T) {
+	const capacity, writers, appends = 64, 4, 2000
+	j := New(capacity)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < appends; i++ {
+				j.Append(Event{
+					Slot: time.Date(2025, 6, 1, i/3%24, 0, 0, 0, time.UTC), Window: i / 3,
+					Rule: fmt.Sprintf("w%d-r%d", w, i%40), Verdict: VerdictExecuted,
+				})
+			}
+		}()
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := j.Latest(Filter{Limit: 5}); len(got) > 5 {
+					t.Errorf("Latest(limit 5) returned %d events", len(got))
+				}
+				if got := j.Recent(Filter{}); len(got) > capacity {
+					t.Errorf("Recent returned %d events, over the cap %d", len(got), capacity)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if got := j.Len(); got != capacity {
+		t.Fatalf("Len = %d, want %d", got, capacity)
+	}
+	checkTables(t, writers*appends, j)
 }

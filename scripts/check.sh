@@ -41,12 +41,13 @@ go run ./cmd/imcf-lint ./...
 
 # Tracing-overhead gate: the disabled tracing/journaling paths must
 # stay allocation-free (testing.AllocsPerRun == 0), the journal ring's
-# packed slot must stay within 104 bytes, a warm controller step must
-# stay within its step-scratch budget (see
-# internal/controller/alloc_test.go), and a proxied response must not
-# pay for a fresh copy buffer (internal/cloud/alloc_test.go). Run
-# outside -race (the detector's instrumentation allocates and would
-# mask regressions).
+# entry and frame must stay within 40 and 48 bytes and a full default
+# ring within 56 heap bytes per event, a warm controller step (with and
+# without measurement persistence) must stay within its step-scratch
+# budget (see internal/controller/alloc_test.go), and a proxied
+# response must not pay for a fresh copy buffer
+# (internal/cloud/alloc_test.go). Run outside -race (the detector's
+# instrumentation allocates and would mask regressions).
 echo ">> go test -run AllocsTrace ./internal/metrics ./internal/journal ./internal/controller ./internal/cloud"
 ./scripts/gates.sh check AllocsTrace ./internal/metrics ./internal/journal ./internal/controller ./internal/cloud
 go test -run AllocsTrace -count=1 ./internal/metrics ./internal/journal ./internal/controller ./internal/cloud
