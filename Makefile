@@ -61,8 +61,9 @@ stream-suite:
 
 # ep-suite reruns the Energy Planner's proof obligations in isolation,
 # verbosely: the controller/sim verdict cross-check, the determinism
-# ledger hashes and the warm controller step's allocation budget. Part
-# of check.
+# ledger hashes, the window-prefetch pipeline against the sequential
+# replay and on a planner error, and the warm controller step's
+# allocation budget. Part of check.
 ep-suite:
 	./scripts/gates.sh ep -v
 

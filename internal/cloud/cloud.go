@@ -14,9 +14,11 @@
 //	POST /cmc/broadcast/mrt            — push a Meta-Rule Table to every site
 //	POST /cmc/broadcast/plan           — trigger an EP cycle on every site
 //
-// A site's decision stream (DESIGN.md §16) crosses the relay through
-// the proxy: /cc/sites/{site}/rest/stream is flushed per chunk when the
-// LC answers with server-sent events.
+// A site's decision stream (DESIGN.md §16) crosses the relay as an
+// ordinary proxied request: a delta long-poll to
+// /cc/sites/{site}/rest/stream?wait=N stays open until the LC answers
+// with a batch or the wait ends, and the relay passes the position
+// headers (Stream-Instance, Last-Event-Seq) through in both directions.
 //
 // A non-empty bearer token gates every route, standing in for the
 // user-account auth a production CC would carry.

@@ -38,7 +38,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 // and ending a span allocates nothing (the ring slot is reused).
 func TestSpanZeroAllocsAfterWarmup(t *testing.T) {
 	tr := NewTracer(8)
-	h := NewDetachedHistogram(nil)
+	h := newHistogram("", "", nil)
 	fn := func() { tr.StartSpan("hot", h).End(nil) }
 	fn() // warm up
 	if allocs := testing.AllocsPerRun(1000, fn); allocs != 0 {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestObserveExemplar(t *testing.T) {
-	h := NewDetachedHistogram([]float64{0.01, 0.1, 1})
+	h := newHistogram("", "", []float64{0.01, 0.1, 1})
 
 	h.ObserveExemplar(0.005, "trace-a") // bucket 0
 	h.ObserveExemplar(0.05, "")         // counted, no exemplar
@@ -30,7 +30,7 @@ func TestObserveExemplar(t *testing.T) {
 	}
 
 	// An exemplar-free histogram returns nothing.
-	if got := NewDetachedHistogram(nil).Exemplars(); got != nil {
+	if got := newHistogram("", "", nil).Exemplars(); got != nil {
 		t.Fatalf("fresh histogram Exemplars = %+v", got)
 	}
 }

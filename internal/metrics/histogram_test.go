@@ -1,16 +1,16 @@
 package metrics
 
 import (
-	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // TestHistogramProperties drives random observation sequences through
-// random bucket layouts and checks the structural invariants: bucket
-// counts are monotone cumulative, the +Inf bucket equals the total
-// count, and sum/count match the sequence exactly.
+// random bucket layouts and checks that every sample lands in its
+// bucket, the +Inf bucket included, and that sum/count match the
+// sequence exactly.
 func TestHistogramProperties(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 13))
 	for trial := 0; trial < 50; trial++ {
@@ -22,7 +22,7 @@ func TestHistogramProperties(t *testing.T) {
 			x += 0.01 + rng.Float64()*20
 			bounds[i] = x
 		}
-		h := NewDetachedHistogram(bounds)
+		h := newHistogram("", "", bounds)
 
 		n := rng.IntN(500)
 		var wantSum float64
@@ -40,40 +40,36 @@ func TestHistogramProperties(t *testing.T) {
 			perBucket[j]++
 		}
 
-		s := h.Snapshot()
-		if h.Count() != uint64(n) || s.Count != uint64(n) {
-			t.Fatalf("trial %d: count %d/%d, want %d", trial, h.Count(), s.Count, n)
+		if h.Count() != uint64(n) {
+			t.Fatalf("trial %d: count %d, want %d", trial, h.Count(), n)
 		}
 		if h.Sum() != wantSum {
 			t.Fatalf("trial %d: sum %v, want %v", trial, h.Sum(), wantSum)
 		}
-		var cum uint64
-		for i, b := range s.Buckets {
-			cum += perBucket[i]
-			if b.Count != cum {
-				t.Fatalf("trial %d: bucket %d cumulative count %d, want %d", trial, i, b.Count, cum)
-			}
-			if i > 0 && b.Count < s.Buckets[i-1].Count {
-				t.Fatalf("trial %d: bucket counts not monotone at %d", trial, i)
-			}
-		}
-		if !math.IsInf(s.Buckets[len(s.Buckets)-1].LE, 1) {
-			t.Fatalf("trial %d: last bucket bound not +Inf", trial)
-		}
-		if s.Buckets[len(s.Buckets)-1].Count != uint64(n) {
-			t.Fatalf("trial %d: +Inf bucket %d, want %d", trial, s.Buckets[len(s.Buckets)-1].Count, n)
+		if got := bucketCounts(h); !slices.Equal(got, perBucket) {
+			t.Fatalf("trial %d: bucket counts %v, want %v", trial, got, perBucket)
 		}
 	}
 }
 
+// bucketCounts returns h's per-bucket (non-cumulative) counts, the +Inf
+// bucket last.
+func bucketCounts(h *Histogram) []uint64 {
+	out := make([]uint64, len(h.counts))
+	for i := range h.counts {
+		out[i] = h.counts[i].Load()
+	}
+	return out
+}
+
 // TestHistogramConcurrentObserve hammers one histogram from 8
-// goroutines and checks that no sample is lost: total count, +Inf
-// bucket and the exact integer sum all match. Run under -race this also
+// goroutines and checks that no sample is lost: total count, bucket
+// counts and the exact integer sum all match. Run under -race this also
 // proves the observation path is race-clean.
 func TestHistogramConcurrentObserve(t *testing.T) {
 	const goroutines = 8
 	const perG = 5000
-	h := NewDetachedHistogram([]float64{10, 50, 100, 500})
+	h := newHistogram("", "", []float64{10, 50, 100, 500})
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -93,9 +89,12 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	if h.Count() != total {
 		t.Fatalf("count %d, want %d: samples lost", h.Count(), total)
 	}
-	s := h.Snapshot()
-	if inf := s.Buckets[len(s.Buckets)-1].Count; inf != total {
-		t.Fatalf("+Inf bucket %d, want %d", inf, total)
+	var inBuckets uint64
+	for _, c := range bucketCounts(h) {
+		inBuckets += c
+	}
+	if inBuckets != total {
+		t.Fatalf("buckets hold %d samples, want %d", inBuckets, total)
 	}
 	// Recompute the exact expected sum from the same deterministic
 	// per-goroutine streams.
@@ -141,19 +140,23 @@ func TestCounterConcurrent(t *testing.T) {
 // inclusive, matching Prometheus ("observations less than or equal to
 // the bound").
 func TestHistogramBucketEdges(t *testing.T) {
-	h := NewDetachedHistogram([]float64{1, 2})
+	h := newHistogram("", "", []float64{1, 2})
 	h.Observe(1) // on the bound: belongs to le="1"
 	h.Observe(1.0000001)
 	h.Observe(2)
 	h.Observe(3)
-	s := h.Snapshot()
-	if s.Buckets[0].Count != 1 {
-		t.Errorf(`le="1" = %d, want 1`, s.Buckets[0].Count)
+	if got, want := bucketCounts(h), []uint64{1, 2, 1}; !slices.Equal(got, want) {
+		t.Errorf("bucket counts (le=1, le=2, +Inf) = %v, want %v", got, want)
 	}
-	if s.Buckets[1].Count != 3 {
-		t.Errorf(`le="2" = %d, want 3`, s.Buckets[1].Count)
-	}
-	if s.Buckets[2].Count != 4 {
-		t.Errorf(`le="+Inf" = %d, want 4`, s.Buckets[2].Count)
+}
+
+// TestDurationBucketsMicroseconds pins the default buckets' resolution
+// at a warm controller step's scale: 3µs lands in (2.5µs, 5µs].
+func TestDurationBucketsMicroseconds(t *testing.T) {
+	h := newHistogram("", "", DurationBuckets)
+	h.Observe(3e-6)
+	i := slices.Index(bucketCounts(h), 1)
+	if i < 1 || DurationBuckets[i-1] != 2.5e-6 || DurationBuckets[i] != 5e-6 {
+		t.Fatalf("3µs landed in bucket %d of %v, want (2.5e-06, 5e-06]", i, DurationBuckets)
 	}
 }

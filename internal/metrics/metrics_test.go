@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -184,7 +183,7 @@ func TestTracerRingAndHandler(t *testing.T) {
 }
 
 func TestSpanObservesHistogram(t *testing.T) {
-	h := NewDetachedHistogram(nil)
+	h := newHistogram("", "", nil)
 	sp := StartSpan("timed", h)
 	time.Sleep(time.Millisecond)
 	sp.End(nil)
@@ -242,57 +241,6 @@ func TestHealthTransitions(t *testing.T) {
 	}
 	if g.Value() != 1 {
 		t.Fatalf("gauge = %v, want 1", g.Value())
-	}
-}
-
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	h := NewDetachedHistogram([]float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(100)
-	s := h.Snapshot()
-	raw, err := json.Marshal(s)
-	if err != nil {
-		t.Fatalf("marshal snapshot with +Inf bucket: %v", err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Count != 3 || !math.IsInf(back.Buckets[2].LE, 1) || back.Buckets[2].Count != 3 {
-		t.Fatalf("round trip mangled snapshot: %+v", back)
-	}
-}
-
-func TestSnapshotMergeAndQuantile(t *testing.T) {
-	a := NewDetachedHistogram([]float64{1, 2, 4})
-	b := NewDetachedHistogram([]float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1.5, 1.5, 3} {
-		a.Observe(v)
-	}
-	for _, v := range []float64{3, 8} {
-		b.Observe(v)
-	}
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Count != 6 || s.Sum != 0.5+1.5+1.5+3+3+8 {
-		t.Fatalf("merge: count=%d sum=%v", s.Count, s.Sum)
-	}
-	// Median rank 3 lands in the (1,2] bucket.
-	if q := s.Quantile(0.5); q <= 1 || q > 2 {
-		t.Errorf("p50 = %v, want in (1,2]", q)
-	}
-	// Top quantiles clamp to the highest finite bound.
-	if q := s.Quantile(1); q != 4 {
-		t.Errorf("p100 = %v, want clamp to 4", q)
-	}
-	var empty Snapshot
-	if q := empty.Quantile(0.9); q != 0 {
-		t.Errorf("empty quantile = %v, want 0", q)
-	}
-	empty.Merge(s)
-	if empty.Count != 6 {
-		t.Errorf("merge into empty: count=%d", empty.Count)
 	}
 }
 

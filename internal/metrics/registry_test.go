@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -58,21 +57,13 @@ func TestPackageLevelShorthands(t *testing.T) {
 	}
 }
 
-func TestObserveDurationAlias(t *testing.T) {
-	h := NewDetachedHistogram([]float64{1})
-	h.ObserveDuration(0.5)
-	if h.Count() != 1 || h.Sum() != 0.5 {
-		t.Fatalf("ObserveDuration: count=%d sum=%v", h.Count(), h.Sum())
-	}
-}
-
 func TestNewHistogramRejectsUnsortedBuckets(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("non-ascending buckets must panic")
 		}
 	}()
-	NewDetachedHistogram([]float64{2, 1})
+	newHistogram("", "", []float64{2, 1})
 }
 
 func TestCounterVecArityPanics(t *testing.T) {
@@ -83,42 +74,4 @@ func TestCounterVecArityPanics(t *testing.T) {
 		}
 	}()
 	v.With("only-one")
-}
-
-func TestSnapshotUnmarshalErrors(t *testing.T) {
-	var b BucketCount
-	if err := json.Unmarshal([]byte(`{"le":"not-a-number","count":1}`), &b); err == nil {
-		t.Fatal("bad bound must error")
-	}
-	if err := json.Unmarshal([]byte(`{`), &b); err == nil {
-		t.Fatal("bad JSON must error")
-	}
-}
-
-func TestSnapshotMergeMismatchPanics(t *testing.T) {
-	a := NewDetachedHistogram([]float64{1}).Snapshot()
-	b := NewDetachedHistogram([]float64{1, 2}).Snapshot()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bucket-count mismatch must panic")
-		}
-	}()
-	a.Merge(b)
-}
-
-func TestQuantileClampsAndEmptyMergeNoop(t *testing.T) {
-	h := NewDetachedHistogram([]float64{1, 2})
-	h.Observe(0.5)
-	s := h.Snapshot()
-	if q := s.Quantile(-1); q < 0 {
-		t.Errorf("q<0 should clamp, got %v", q)
-	}
-	if q := s.Quantile(2); q < 0 {
-		t.Errorf("q>1 should clamp, got %v", q)
-	}
-	before := s.Count
-	s.Merge(Snapshot{}) // merging an empty snapshot is a no-op
-	if s.Count != before {
-		t.Errorf("empty merge changed count: %d -> %d", before, s.Count)
-	}
 }

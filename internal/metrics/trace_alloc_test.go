@@ -17,7 +17,7 @@ func TestAllocsTraceDisabledSpan(t *testing.T) {
 		t.Fatalf("disabled trace-tagged span allocates %v per op, want 0", n)
 	}
 
-	h := NewDetachedHistogram(DurationBuckets)
+	h := newHistogram("", "", DurationBuckets)
 	if n := testing.AllocsPerRun(200, func() {
 		h.ObserveExemplar(0.0042, "0af7651916cd43dd8448eb211c80319c")
 	}); n != 0 {
@@ -37,7 +37,7 @@ func BenchmarkTraceDisabled(b *testing.B) {
 		}
 	})
 	b.Run("exemplar", func(b *testing.B) {
-		h := NewDetachedHistogram(DurationBuckets)
+		h := newHistogram("", "", DurationBuckets)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			h.ObserveExemplar(0.0042, "0af7651916cd43dd8448eb211c80319c")

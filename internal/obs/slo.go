@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -184,13 +185,15 @@ func (m merged) errorRate() float64 {
 }
 
 // percentile returns the upper bound of the bucket containing the q-th
-// quantile (0 < q <= 1), 0 when empty. The estimate is deterministic
-// and conservative: it rounds latencies up to their bucket bound.
+// quantile (0 < q <= 1), 0 when empty. The rank is the nearest rank,
+// ceil(q·n), so a tail just over 1-q of the samples still reaches the
+// estimate. The estimate is deterministic and conservative: it rounds
+// latencies up to their bucket bound.
 func (m merged) percentile(q float64) float64 {
 	if m.count == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(m.count))
+	rank := uint64(math.Ceil(q * float64(m.count)))
 	if rank < 1 {
 		rank = 1
 	}

@@ -212,6 +212,37 @@ func TestSLOWindowMergeMatchesRecomputation(t *testing.T) {
 	}
 }
 
+// TestSLOP99NearestRank pins the percentile rank to the nearest rank,
+// ceil(q·n): two slow samples in 150 are 1.3% of the window, above the
+// 1% tail, so the P99 must report the slow bucket; one in 150 is not.
+// Both the snapshot's 1m P99 and the imcf_slo_latency_p99_seconds
+// gauge read it.
+func TestSLOP99NearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		fast, slow int
+		want       float64
+	}{
+		{148, 2, 5},
+		{149, 1, 0.00005},
+	} {
+		tenant := fmt.Sprintf("slo-p99-%d", tc.slow)
+		s := NewSLO(Config{})
+		for i := 0; i < tc.fast; i++ {
+			s.Observe(tenant, sloT0, 40e-6, false)
+		}
+		for i := 0; i < tc.slow; i++ {
+			s.Observe(tenant, sloT0, 5, false)
+		}
+		s.Evaluate(sloT0)
+		if got := s.Snapshot(sloT0)[0].Windows[0].P99; got != tc.want {
+			t.Errorf("%d fast + %d slow: 1m P99 = %v, want %v", tc.fast, tc.slow, got, tc.want)
+		}
+		if got := s.tenants[tenant].p99G.Value(); got != tc.want {
+			t.Errorf("%d fast + %d slow: p99 gauge = %v, want %v", tc.fast, tc.slow, got, tc.want)
+		}
+	}
+}
+
 // TestSLOBurnRateMonotoneUnderSustainedErrors is the burn-rate
 // property: once a tenant fails every cycle, each window's burn rate
 // never decreases — old successes aging out can only push it up, until

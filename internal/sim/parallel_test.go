@@ -3,12 +3,10 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/imcf/imcf/internal/core"
-	"github.com/imcf/imcf/internal/metrics"
 )
 
 // TestBuildWorkloadParallelEquivalence asserts the sharded precompute
@@ -32,7 +30,7 @@ func TestBuildWorkloadParallelEquivalence(t *testing.T) {
 }
 
 // TestRunPipelineMatchesSequential is the determinism contract of the
-// prefetch pipeline: for every algorithm, Run with a producer pool must
+// prefetch pipeline: for every algorithm, Run with the prefetch producer must
 // produce a byte-identical Result (modulo wall-clock F_T) to the fully
 // sequential fallback at the same seed.
 func TestRunPipelineMatchesSequential(t *testing.T) {
@@ -67,10 +65,8 @@ func TestRunPipelineMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%s parallel: %v", alg, tc.name, err)
 			}
-			// F_T and the latency histogram are wall-clock and
-			// legitimately differ between runs.
+			// F_T is wall-clock and legitimately differs between runs.
 			seq.PlannerTime, par.PlannerTime = 0, 0
-			seq.PlanLatency, par.PlanLatency = metrics.Snapshot{}, metrics.Snapshot{}
 			if !reflect.DeepEqual(seq, par) {
 				t.Errorf("%v/%s: parallel Run diverged from sequential:\nseq: %+v\npar: %+v", alg, tc.name, seq, par)
 			}
@@ -79,8 +75,8 @@ func TestRunPipelineMatchesSequential(t *testing.T) {
 }
 
 // TestRunPipelineErrorPropagates ensures a planner error inside the
-// sequential consumer loop tears the pipeline down cleanly — producers
-// exit, no deadlock — and surfaces the error.
+// sequential consumer loop tears the pipeline down cleanly — the
+// producer exits, no deadlock — and surfaces the error.
 func TestRunPipelineErrorPropagates(t *testing.T) {
 	res := oneYearFlat(t)
 	// Inflate the MRT until more than ExhaustiveMaxN convenience rules
@@ -112,48 +108,5 @@ func TestRunPipelineErrorPropagates(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("pipeline deadlocked on consumer error")
-	}
-}
-
-// TestRunPipelineDescheduledProducer pins the pipeline against the
-// deadlock where a producer is descheduled between claiming a window
-// and taking a buffer for it: the other producer must not be able to
-// fill every buffer with later windows while the consumer waits on the
-// claimed one. The hook holds the producer of window 0 until another
-// producer claims the window just past the buffer count (or a timeout
-// passes), at Workers 2 with the minimum of in-flight buffers.
-func TestRunPipelineDescheduledProducer(t *testing.T) {
-	w := buildWorkload(t, oneYearFlat(t))
-	const workers = 2
-	inflight := workers * prefetchDepth
-	release := make(chan struct{})
-	var once sync.Once
-	pipelineClaimHook = func(k int) {
-		switch {
-		case k == 0:
-			select {
-			case <-release:
-			case <-time.After(500 * time.Millisecond):
-			}
-		case k >= inflight+1:
-			once.Do(func() { close(release) })
-		}
-	}
-	defer func() { pipelineClaimHook = nil }()
-
-	opts := Options{Workers: workers}
-	opts.Planner.Seed = 1234
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(w, EP, opts)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("pipelined EP replay deadlocked with a descheduled producer")
 	}
 }

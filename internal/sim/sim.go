@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/imcf/imcf/internal/core"
@@ -88,11 +87,11 @@ type Options struct {
 	// 1 gives per-slot decisions (an ablation). Baselines are
 	// window-invariant.
 	PlanWindowHours int
-	// Workers bounds the worker pool used for the parallel parts of the
-	// replay: the per-slot precompute in BuildWorkload and the
-	// window-problem prefetch pipeline in Run. Zero means GOMAXPROCS; 1
-	// forces the fully sequential fallback path. Results are
-	// bit-identical for any value — only wall-clock changes.
+	// Workers bounds the worker pool of BuildWorkload's per-slot
+	// precompute; above 1 it also turns on Run's window-problem
+	// prefetch, one producer goroutine ahead of the EP consumer. Zero
+	// means GOMAXPROCS; 1 forces the fully sequential fallback path.
+	// Results are bit-identical for any value — only wall-clock changes.
 	Workers int
 	// Journal, when set, records one decision-provenance event per rule
 	// verdict per EP plan window (see internal/journal). Events are
@@ -153,11 +152,6 @@ type Result struct {
 	BudgetTotal units.Energy
 	// PerOwner attributes convenience error to rule owners (Table V).
 	PerOwner map[string]units.Percent
-	// PlanLatency is the distribution of per-invocation planning
-	// latencies (per window for EP, per slot for the baselines),
-	// captured in a run-local histogram. Empty when metrics are
-	// globally disabled via metrics.SetEnabled(false).
-	PlanLatency metrics.Snapshot
 }
 
 // Workload is a residence's precomputed replay data: per-slot ambient
@@ -389,7 +383,6 @@ func Run(w *Workload, alg Algorithm, opts Options) (Result, error) {
 	acc := &runAccumulator{
 		ownerErr:    make(map[string]float64),
 		ownerActive: make(map[string]int64),
-		latency:     metrics.NewDetachedHistogram(nil),
 	}
 	if alg == EP {
 		err = w.runEP(planner, opts, hourlyBudget, ledger, acc)
@@ -404,7 +397,6 @@ func Run(w *Workload, alg Algorithm, opts Options) (Result, error) {
 	res.PlannerTime = acc.plannerTime
 	res.ActiveRuleSlots = acc.active
 	res.ExecutedRuleSlots = acc.executed
-	res.PlanLatency = acc.latency.Snapshot()
 
 	// Fold the run into the process-wide serving metrics. Done once per
 	// run, after the replay, so instrumentation never touches the
@@ -449,7 +441,6 @@ type runAccumulator struct {
 	ownerErr    map[string]float64
 	ownerActive map[string]int64
 	plannerTime time.Duration
-	latency     *metrics.Histogram // run-local, detached from the registry
 }
 
 // winRule is one rule's trace-derived aggregate over a decision window.
@@ -497,7 +488,7 @@ func newWinScratch(nRules int) *winScratch {
 }
 
 // buildWindow aggregates the window [w0, wEnd) into wp. Both the
-// sequential fallback and the prefetch producers run exactly this code,
+// sequential fallback and the prefetch producer run exactly this code,
 // with identical float accumulation order, so the two paths are
 // bit-identical by construction.
 //
@@ -581,7 +572,6 @@ func (w *Workload) consumeWindow(ls *ledgerState, wp *windowProblem, acc *runAcc
 	//imcf:allow determinism wall-clock planner latency feeds metrics only, never simulation results
 	d := wp.buildTime + time.Since(start)
 	acc.plannerTime += d
-	acc.latency.Observe(d.Seconds())
 	metrics.PlannerWindowSeconds.Observe(d.Seconds())
 
 	spent := eval.Energy + wp.necessity
@@ -614,10 +604,10 @@ func (w *Workload) consumeWindow(ls *ledgerState, wp *windowProblem, acc *runAcc
 // budget plus the bounded ledger.
 //
 // Window problems depend only on the trace, so their construction is
-// pipelined: a bounded producer pool builds windows ahead of the
-// consumer, while the ledger/search loop itself stays strictly
-// sequential — the carry-over budget and the planner RNG both thread
-// state from window to window.
+// pipelined: one producer builds windows ahead of the consumer, while
+// the ledger/search loop itself stays strictly sequential — the
+// carry-over budget and the planner RNG both thread state from window
+// to window.
 func (w *Workload) runEP(planner *core.Planner, opts Options, hourlyBudget [13]float64, ledger core.Ledger, acc *runAccumulator) error {
 	n := w.Grid.Len()
 	window := opts.PlanWindowHours
@@ -628,11 +618,7 @@ func (w *Workload) runEP(planner *core.Planner, opts Options, hourlyBudget [13]f
 		planner.SetRecorder(ls.rec)
 	}
 
-	workers := opts.workers()
-	if workers > nWindows {
-		workers = nWindows
-	}
-	if workers <= 1 || nWindows < 2 {
+	if opts.workers() <= 1 || nWindows < 2 {
 		// Sequential fallback: build and consume inline.
 		wp := &windowProblem{}
 		scr := newWinScratch(len(w.ruleList))
@@ -645,90 +631,61 @@ func (w *Workload) runEP(planner *core.Planner, opts Options, hourlyBudget [13]f
 		}
 		return nil
 	}
-	return w.runEPPipelined(ls, acc, hourlyBudget, workers, nWindows)
+	return w.runEPPipelined(ls, acc, hourlyBudget)
 }
 
-// prefetchDepth is how many windows each producer may run ahead of the
-// consumer; workers × prefetchDepth window problems are in flight at
-// most, bounding peak memory.
-const prefetchDepth = 4
-
-// pipelineClaimHook, when non-nil, runs in a producer right after it
-// claims window k, between taking a buffer and building. Tests use it
-// to deschedule a producer at that point; it is nil otherwise.
-var pipelineClaimHook func(k int)
+// prefetchDepth is how many window problems the pipeline holds: the
+// producer runs at most this many windows ahead of the consumer. It is
+// sized to the producer's wake-up latency, not to memory: a producer
+// woken late finds several free buffers and builds them in one run, so
+// the consumer neither runs dry nor pays a wake-up per window. At 4, on
+// 2 vCPUs, the House replay at Workers 2 was slower than at Workers 1.
+const prefetchDepth = 16
 
 // runEPPipelined overlaps window-problem construction with the
-// sequential ledger/search loop. Producers take a windowProblem from a
-// free list whose capacity bounds the prefetch distance, then claim a
-// window index from an atomic counter; the consumer receives
-// each window over a per-window buffered channel, preserving window
-// order exactly.
-func (w *Workload) runEPPipelined(ls *ledgerState, acc *runAccumulator, hourlyBudget [13]float64, workers, nWindows int) error {
+// sequential ledger/search loop. One producer goroutine builds the
+// windows in order, each into a buffer taken from a free list of
+// prefetchDepth windowProblems, and sends it over one channel; the
+// consumer returns each buffer once its window is folded in. The built
+// channel holds every buffer, so the producer only ever waits for a free
+// one. On a consumer error the producer stops at its next buffer, and
+// the consumer drains built until the producer closes it on exit.
+func (w *Workload) runEPPipelined(ls *ledgerState, acc *runAccumulator, hourlyBudget [13]float64) error {
 	n := w.Grid.Len()
 	window := ls.opts.PlanWindowHours
 
-	inflight := workers * prefetchDepth
-	if inflight > nWindows {
-		inflight = nWindows
-	}
-	free := make(chan *windowProblem, inflight)
-	for i := 0; i < inflight; i++ {
+	free := make(chan *windowProblem, prefetchDepth)
+	for range prefetchDepth {
 		free <- &windowProblem{}
 	}
-	built := make([]chan *windowProblem, nWindows)
-	for k := range built {
-		built[k] = make(chan *windowProblem, 1)
-	}
+	built := make(chan *windowProblem, prefetchDepth)
 	stop := make(chan struct{})
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scr := newWinScratch(len(w.ruleList))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Take the buffer before claiming the window: every
-				// claimed window then holds a buffer, so the lowest
-				// unbuilt one (the consumer's next) is always being
-				// built and later windows cannot starve it of buffers.
-				var wp *windowProblem
-				select {
-				case wp = <-free:
-				case <-stop:
-					return
-				}
-				k := int(next.Add(1)) - 1
-				if k >= nWindows {
-					return
-				}
-				if pipelineClaimHook != nil {
-					pipelineClaimHook(k)
-				}
-				w0 := k * window
-				w.buildWindow(wp, scr, &hourlyBudget, w0, min(w0+window, n))
-				built[k] <- wp // buffered(1), single producer per window
+	go func() {
+		defer close(built)
+		scr := newWinScratch(len(w.ruleList))
+		for w0 := 0; w0 < n; w0 += window {
+			var wp *windowProblem
+			select {
+			case wp = <-free:
+			case <-stop:
+				return
 			}
-		}()
-	}
+			w.buildWindow(wp, scr, &hourlyBudget, w0, min(w0+window, n))
+			built <- wp
+		}
+	}()
 
 	var err error
-	for k := 0; k < nWindows; k++ {
-		wp := <-built[k]
+	for wp := range built {
+		if err != nil {
+			continue // draining: the producer is stopping
+		}
 		if err = w.consumeWindow(ls, wp, acc); err != nil {
-			break
+			close(stop)
+			continue
 		}
 		free <- wp
 	}
-	close(stop)
-	wg.Wait()
 	return err
 }
 
@@ -772,7 +729,6 @@ func (w *Workload) runPerSlot(alg Algorithm, acc *runAccumulator) error {
 		//imcf:allow determinism wall-clock per-slot latency feeds metrics only, never simulation results
 		d := time.Since(start)
 		acc.plannerTime += d
-		acc.latency.Observe(d.Seconds())
 		metrics.PlannerWindowSeconds.Observe(d.Seconds())
 
 		acc.totalEnergy += eval.Energy

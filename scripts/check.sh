@@ -68,9 +68,10 @@ go test -run AllocsObs -count=1 ./internal/obs
 
 # Energy Planner suite: the controller step and the sim replay must
 # journal the same verdicts for the same budget and planner seed, the
-# replay's determinism hashes must hold, and the warm controller step
-# must stay within its allocation budget (DESIGN.md §4). Outside -race,
-# whose instrumentation allocates.
+# replay's determinism hashes must hold, the window-prefetch pipeline
+# must match the sequential replay and tear down on a planner error,
+# and the warm controller step must stay within its allocation budget
+# (DESIGN.md §4, §7). Outside -race, whose instrumentation allocates.
 echo ">> EP suite"
 ./scripts/gates.sh ep
 

@@ -23,9 +23,11 @@
 #           suite (DESIGN.md §13)
 #   ep      the Energy Planner's one step: the controller and the sim
 #           replay journal the same verdicts over a prototype week, the
-#           replay's determinism ledger hashes, the controller keeping
-#           its planner seed, and the warm controller step's allocation
-#           budget (DESIGN.md §4); run it without -race, which allocates
+#           replay's determinism ledger hashes, the window-prefetch
+#           pipeline matching the sequential replay and tearing down on
+#           a planner error, the controller keeping its planner seed,
+#           and the warm controller step's allocation budget (DESIGN.md
+#           §4, §7); run it without -race, which allocates
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,7 +41,7 @@ stream_pkgs='./internal/daemon ./internal/cloud ./internal/controller'
 fleet_gate='FleetTenantEquivalence|FleetCrashSharedWAL'
 fleet_pkgs='./internal/daemon'
 
-ep_gate='ControllerMatchesSimEP|RunDeterminismHashes|NewKeepsPlannerSeed|AllocsTraceControllerStep'
+ep_gate='ControllerMatchesSimEP|RunDeterminismHashes|RunPipelineMatchesSequential|RunPipelineErrorPropagates|NewKeepsPlannerSeed|AllocsTraceControllerStep'
 ep_pkgs='./internal/controller ./internal/sim'
 
 # check_gate REGEX PKG...: a deleted or renamed test must not silently
